@@ -31,6 +31,7 @@
 #include "telemetry/telemetry.hh"
 #include "trace/format.hh"
 #include "workload/generator.hh"
+#include "workload/mixes.hh"
 #include "workload/trace_profile.hh"
 
 namespace
@@ -379,31 +380,38 @@ pointerChaseProfile()
 }
 
 /**
- * Full System::run throughput (sim-cycles/sec counter) on a short
- * single-core mix, cycle-by-cycle (BM_EndToEnd) vs. the event-driven
- * next-event loop (BM_EndToEndEventDriven). Arg 0 is an idle-heavy
- * serial pointer chase (bench_pchase, prefetcher off) where nearly
- * every cycle is a dead wait on a dependent DRAM miss; Arg 1 is a
- * saturated streaming profile (libquantum_06) where nearly every cycle
- * does work. Compare the pair at the same arg: the idle-heavy arg
- * shows the skipping win, the saturated arg bounds its overhead when
- * there is nothing to skip.
+ * Full System::run throughput (sim-cycles/sec counter) on a short mix,
+ * cycle-by-cycle (BM_EndToEnd) vs. the event-driven next-event loop
+ * (BM_EndToEndEventDriven). Arg 0 is an idle-heavy single-core serial
+ * pointer chase (bench_pchase, prefetcher off) where nearly every cycle
+ * is a dead wait on a dependent DRAM miss; Arg 1 is a saturated
+ * single-core streaming profile (libquantum_06) where nearly every
+ * cycle does work; Arg 2 is the paper's 4-core prefetch-friendly case
+ * study mix, whose prefetchers keep the MSHR files full, so most issue
+ * attempts bounce and park. Compare the pair at the same arg: the
+ * idle-heavy arg shows the skipping win, Arg 1 bounds its overhead when
+ * there is nothing to skip, and Arg 2 shows what parking buys.
  */
 void
 endToEnd(benchmark::State &state, bool event_skip)
 {
+    const std::int64_t arm = state.range(0);
     sim::SystemConfig cfg = sim::applyPolicy(
-        sim::SystemConfig::baseline(1), sim::PolicySetup::Padc);
+        sim::SystemConfig::baseline(arm == 2 ? 4 : 1),
+        sim::PolicySetup::Padc);
     cfg.event_skip = event_skip;
-    const bool idle_heavy = state.range(0) == 0;
-    if (idle_heavy) {
+    workload::Mix mix;
+    if (arm == 0) {
         // No prefetcher: a stream prefetcher keeps the channel busy
         // between the dependent misses, and the chase defeats it
         // anyway (random next-line, one access per line).
         cfg.prefetch_enabled = false;
+        mix = {pointerChaseProfile()};
+    } else if (arm == 1) {
+        mix = {"libquantum_06"};
+    } else {
+        mix = workload::caseStudyFriendly();
     }
-    const workload::Mix mix = {idle_heavy ? pointerChaseProfile()
-                                          : "libquantum_06"};
     sim::RunOptions opt;
     opt.instructions = 15000;
     opt.warmup = 0;
@@ -423,7 +431,11 @@ BM_EndToEnd(benchmark::State &state)
 {
     endToEnd(state, false);
 }
-BENCHMARK(BM_EndToEnd)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_EndToEnd)
+    ->Arg(0)
+    ->Arg(1)
+    ->Arg(2)
+    ->Unit(benchmark::kMillisecond);
 
 void
 BM_EndToEndEventDriven(benchmark::State &state)
@@ -433,6 +445,7 @@ BM_EndToEndEventDriven(benchmark::State &state)
 BENCHMARK(BM_EndToEndEventDriven)
     ->Arg(0)
     ->Arg(1)
+    ->Arg(2)
     ->Unit(benchmark::kMillisecond);
 
 // --- telemetry overhead check ---------------------------------------

@@ -117,6 +117,13 @@ class SetAssocCache
      */
     Line *access(Addr addr);
 
+    /**
+     * Count @p n demand lookups known to miss without performing them:
+     * exactly the statistics @p n missing access() calls would add
+     * (a miss touches no recency state).
+     */
+    void addMisses(std::uint64_t n) { stats_.misses += n; }
+
     /** Look up without statistics or recency update (for inspection). */
     Line *peek(Addr addr);
     const Line *peek(Addr addr) const;

@@ -283,8 +283,16 @@ Core::tick(Cycle now)
     issue(now);
 }
 
+bool
+Core::canAttemptIssue() const
+{
+    if (issue_q_.empty() || mem_ops_in_flight_ >= config_.lsq_size)
+        return false;
+    return !(issue_q_.front()->dependent && mem_ops_in_flight_ > 0);
+}
+
 Cycle
-Core::nextEventCycle(Cycle from) const
+Core::nextEventCycle(Cycle from, bool issue_parked) const
 {
     if (runahead_active_)
         return from; // pseudo-execution consumes trace every cycle
@@ -306,16 +314,12 @@ Core::nextEventCycle(Cycle from) const
     if (instrs_in_window_ < config_.window_size)
         return from; // fetch makes progress (trace sources never run dry)
 
-    if (!issue_q_.empty()) {
-        const RobEntry *front = issue_q_.front();
-        if (!(front->dependent && mem_ops_in_flight_ > 0) &&
-            mem_ops_in_flight_ < config_.lsq_size) {
-            // An issue attempt has observable side effects (port access,
-            // retry accounting) even when it bounces, so any cycle with
-            // one cannot be skipped.
-            return from;
-        }
-    }
+    // An issue attempt has observable side effects (port access, retry
+    // accounting) even when it bounces, so a cycle with one cannot be
+    // skipped -- unless the port parked it, in which case the bounce
+    // repeats identically and accountIdleCycles() replays it.
+    if (!issue_parked && canAttemptIssue())
+        return from;
 
     // Fully stalled. A head load with a known completion time wakes the
     // core at that cycle; everything else waits on a completeLoad()
@@ -331,15 +335,23 @@ Core::nextEventCycle(Cycle from) const
     return kNeverCycle;
 }
 
-void
-Core::accountIdleCycles(std::uint64_t cycles)
+std::uint64_t
+Core::accountIdleCycles(std::uint64_t cycles, bool issue_parked)
 {
     // The gap invariant guarantees the retire stage saw the same
-    // not-yet-done load head in every skipped cycle (any state change
-    // would have been an event); only that case increments a per-cycle
-    // counter in tick().
+    // not-yet-done load head in every skipped cycle, and issue() the
+    // same parked queue head (any state change would have been an
+    // event); only those cases increment a per-cycle counter in tick().
     if (!rob_.empty() && rob_.front().is_mem && rob_.front().is_load)
         stats_.load_stall_cycles += cycles;
+    if (!issue_parked)
+        return 0;
+    // The parked head could be attempted when it bounced, and only a
+    // successful issue (impossible while parked) raises the in-flight
+    // count that gates the attempt, so issue() attempts it every cycle.
+    assert(canAttemptIssue());
+    stats_.issue_retries += cycles;
+    return cycles;
 }
 
 } // namespace padc::core

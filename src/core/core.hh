@@ -75,6 +75,12 @@ class MemoryPort
     /**
      * Perform a memory access for @p core.
      *
+     * A Retry may come from a parked access: an implementation may
+     * remember a demand that bounced on a resource only a release can
+     * free, and answer its identical re-issues in closed form (same
+     * statistics, no lookups) until that release or a runahead access
+     * by the same core.
+     *
      * @param token_tag core-private identifier passed back through
      *        completeLoad() when status is Pending
      * @param runahead the access is speculative runahead work: it must
@@ -114,23 +120,35 @@ class Core
 
     /**
      * Earliest cycle >= @p from at which a tick() of this core could
-     * make progress or have any side effect beyond the head-load stall
-     * counter (which accountIdleCycles() reproduces for skipped
-     * cycles): @p from itself when any pipeline stage can act this
-     * cycle, the head load's known completion time when the core is
-     * fully stalled on it, or kNeverCycle when the core can only be
-     * woken by a completeLoad() from the memory system (whose timing
-     * the controller's own next-event computation bounds).
+     * make progress or have any side effect beyond the counters
+     * accountIdleCycles() reproduces for skipped cycles: @p from
+     * itself when any pipeline stage can act this cycle, the head
+     * load's known completion time when the core is fully stalled on
+     * it, or kNeverCycle when the core can only be woken by a
+     * completeLoad() from the memory system (whose timing the
+     * controller's own next-event computation bounds).
+     *
+     * @param issue_parked the memory port has parked this core's
+     *        issue-queue head: every attempt to issue it bounces
+     *        identically until the port wakes the core, so such an
+     *        attempt is not an event (accountIdleCycles() replays its
+     *        retry count instead)
      */
-    Cycle nextEventCycle(Cycle from) const;
+    Cycle nextEventCycle(Cycle from, bool issue_parked = false) const;
 
     /**
      * Account for skipped cycles during which this core was provably
      * stalled: reproduces the per-cycle head-load stall increment the
-     * legacy loop would have made. @pre nextEventCycle(from) covered
-     * every skipped cycle, so the stall condition held throughout.
+     * legacy loop would have made and, when @p issue_parked, the
+     * issue retry of every cycle in which issue() would have made its
+     * (bouncing) attempt. @pre nextEventCycle(from, issue_parked)
+     * covered every skipped cycle, so those conditions held throughout.
+     *
+     * @return retries replayed: the bounced port accesses whose memory-
+     *         side effects the caller must replay as well
      */
-    void accountIdleCycles(std::uint64_t cycles);
+    std::uint64_t accountIdleCycles(std::uint64_t cycles,
+                                    bool issue_parked = false);
 
     /** Completion callback for Pending accesses. */
     void completeLoad(std::uint64_t tag, Cycle now);
@@ -166,6 +184,9 @@ class Core
     void fetch(Cycle now);
     void issue(Cycle now);
     void runaheadStep(Cycle now);
+
+    /** issue() would attempt at least one port access this cycle. */
+    bool canAttemptIssue() const;
 
     TraceOp nextOp();
 

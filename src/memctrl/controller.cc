@@ -374,7 +374,9 @@ MemoryController::issueCommand(Request &req, NextCmd cmd, bool row_hit,
         break;
     }
     if (trace_ != nullptr && cmd != NextCmd::None) {
-        telemetry::EventKind kind;
+        telemetry::EventKind kind = req.isWrite()
+                                        ? telemetry::EventKind::CmdWrite
+                                        : telemetry::EventKind::CmdRead;
         switch (cmd) {
           case NextCmd::Precharge:
             kind = telemetry::EventKind::CmdPrecharge;
@@ -384,8 +386,6 @@ MemoryController::issueCommand(Request &req, NextCmd cmd, bool row_hit,
             break;
           case NextCmd::Column:
           case NextCmd::None:
-            kind = req.isWrite() ? telemetry::EventKind::CmdWrite
-                                 : telemetry::EventKind::CmdRead;
             break;
         }
         traceRequest(kind, req, now);

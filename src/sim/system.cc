@@ -186,6 +186,7 @@ System::System(const SystemConfig &config,
     }
 
     mem_.resize(config_.num_cores);
+    parked_.assign(config_.num_cores, kInvalidAddr);
     results_.resize(config_.num_cores);
     next_interval_ = config_.sched.accuracy.interval;
     event_skip_ = config_.event_skip && !envNoEventSkip();
@@ -285,10 +286,45 @@ System::issuePrefetch(CoreId core, Addr addr, Addr pc, Cycle now)
         ++fdp_[core].counts.prefetches_sent;
 }
 
+void
+System::replayBounces(CoreId core, std::uint64_t n)
+{
+    l1s_[core]->addMisses(n);
+    l2For(core).addMisses(n);
+    mem_[core].l2_demand_accesses += n;
+    if (config_.fdp_enabled)
+        fdp_[core].counts.demand_accesses += n;
+}
+
+void
+System::releaseMshr(CoreId core, Addr line_addr)
+{
+    mshrFor(core).release(line_addr);
+    const CoreId first = config_.shared_l2 ? 0 : core;
+    const CoreId last = config_.shared_l2 ? config_.num_cores - 1 : core;
+    for (CoreId c = first; c <= last; ++c) {
+        if (parked_[c] != kInvalidAddr) {
+            parked_[c] = kInvalidAddr;
+            core_next_[c] = 0; // its issue attempt is an event again
+        }
+    }
+}
+
 core::AccessReply
 System::access(CoreId core, Addr addr, Addr pc, bool is_load,
                std::uint64_t token_tag, bool runahead, Cycle now)
 {
+    if (parked_[core] != kInvalidAddr) {
+        if (parked_[core] == addr && !runahead) {
+            replayBounces(core, 1);
+            return {core::AccessStatus::Retry, 0};
+        }
+        // Any other access ends the park. Conservative: a runahead
+        // access does lookups and fills of its own, and re-parking
+        // costs one full lookup.
+        parked_[core] = kInvalidAddr;
+    }
+
     // L1.
     if (cache::Line *l1_line = l1s_[core]->access(addr)) {
         if (!is_load)
@@ -347,10 +383,16 @@ System::access(CoreId core, Addr addr, Addr pc, bool is_load,
             traceMshr(telemetry::EventKind::MshrCoalesce, core, line_addr,
                       entry->cls, now);
             reply = {core::AccessStatus::Pending, 0};
+        } else if (mshr.full()) {
+            // Bounces identically until releaseMshr() frees an entry of
+            // this file; park it (controller-full rejections are not
+            // parked: the controller frees room without a release).
+            if (event_skip_ && !runahead)
+                parked_[core] = addr;
+            reply = {core::AccessStatus::Retry, 0};
         } else {
             const dram::DramCoord coord = dram_->map(line_addr);
-            if (mshr.full() ||
-                !controllerFor(coord).enqueueRead(
+            if (!controllerFor(coord).enqueueRead(
                     coord, line_addr, core, pc, RequestClass::DemandRead,
                     now)) {
                 reply = {core::AccessStatus::Retry, 0};
@@ -456,7 +498,7 @@ System::dramReadComplete(const memctrl::Request &req, Cycle now)
     }
     traceMshr(telemetry::EventKind::MshrRelease, core, line_addr,
               entry->cls, now);
-    mshr.release(line_addr);
+    releaseMshr(core, line_addr);
 }
 
 void
@@ -469,10 +511,7 @@ System::dramPrefetchDropped(const memctrl::Request &req, Cycle now)
            "APD must only drop unpromoted prefetches");
     traceMshr(telemetry::EventKind::MshrRelease, req.core, req.line_addr,
               RequestClass::Prefetch, now);
-    mshr.release(req.line_addr);
-    // Freed MSHR capacity can unblock a retrying access; the retry loop
-    // keeps the core's own next-event at "now", but stay conservative.
-    core_next_[req.core] = 0;
+    releaseMshr(req.core, req.line_addr);
 }
 
 std::array<std::uint64_t, kRequestClassCount>
@@ -708,14 +747,17 @@ System::run(std::uint64_t instructions_per_core, std::uint64_t max_cycles,
                 // replay the exact 1-cycle idle accounting instead of a
                 // full no-op tick, just as the jump below does for gap
                 // cycles. A skipped core cannot have newly finished.
-                cores_[i]->accountIdleCycles(1);
+                if (cores_[i]->accountIdleCycles(
+                        1, parked_[i] != kInvalidAddr) > 0)
+                    replayBounces(i, 1);
                 if (!results_[i].done)
                     all_done = false;
                 continue;
             }
             cores_[i]->tick(now_);
             if (event_skip_)
-                core_next_[i] = cores_[i]->nextEventCycle(now_ + 1);
+                core_next_[i] = cores_[i]->nextEventCycle(
+                    now_ + 1, parked_[i] != kInvalidAddr);
             if (!results_[i].done) {
                 CoreResult &res = results_[i];
                 const std::uint64_t retired =
@@ -785,8 +827,12 @@ System::run(std::uint64_t instructions_per_core, std::uint64_t max_cycles,
         const std::uint64_t skipped = next - now_;
         for (auto &controller : controllers_)
             controller->skipTo(now_, next);
-        for (CoreId i = 0; i < config_.num_cores; ++i)
-            cores_[i]->accountIdleCycles(skipped);
+        for (CoreId i = 0; i < config_.num_cores; ++i) {
+            const std::uint64_t bounces = cores_[i]->accountIdleCycles(
+                skipped, parked_[i] != kInvalidAddr);
+            if (bounces > 0)
+                replayBounces(i, bounces);
+        }
         jump_cycles += skipped;
         ++jump_count;
         now_ = next;

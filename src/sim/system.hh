@@ -82,10 +82,12 @@ struct SystemConfig
     /**
      * Event-driven main loop: when no component can act for a span of
      * cycles, System::run() jumps simulated time to the next event
-     * instead of stepping every cycle. Results are bit-identical either
-     * way (the A/B equivalence suite and the PADC_NO_EVENT_SKIP runtime
-     * escape hatch exist to prove/bisect exactly that), so this knob --
-     * like collector above -- is an execution detail, not a simulated
+     * instead of stepping every cycle, and demands that bounce on a
+     * full MSHR file are parked (replayed in closed form, see
+     * System::parked_). Results are bit-identical either way (the A/B
+     * equivalence suite and the PADC_NO_EVENT_SKIP runtime escape hatch
+     * exist to prove/bisect exactly that), so this knob -- like
+     * collector above -- is an execution detail, not a simulated
      * parameter: it is excluded from validate() and from sweep point
      * keys.
      */
@@ -248,6 +250,16 @@ class System : public core::MemoryPort, public memctrl::ResponseHandler
         return static_cast<std::uint32_t>(controllers_.size());
     }
     const dram::DramSystem &dramSystem() const { return *dram_; }
+    /** FDP feedback counts of the open interval. @pre fdp_enabled. */
+    const prefetch::FdpController::IntervalCounts &
+    fdpCounts(CoreId core) const
+    {
+        return fdp_[core].counts;
+    }
+    const cache::SetAssocCache &l1(CoreId core) const
+    {
+        return *l1s_[core];
+    }
     const cache::SetAssocCache &l2(std::uint32_t idx) const
     {
         return *l2s_[idx];
@@ -313,6 +325,18 @@ class System : public core::MemoryPort, public memctrl::ResponseHandler
     /** A still-unused prefetched line left the L2: resolve useless. */
     void resolveUseless(const cache::EvictResult &victim, Addr pc);
 
+    /**
+     * Add the statistics of @p n re-issues of @p core's parked demand:
+     * each misses the L1 and the L2 and bounces on the full MSHR file.
+     */
+    void replayBounces(CoreId core, std::uint64_t n);
+
+    /**
+     * Release @p line_addr from @p core's MSHR file and wake every core
+     * parked on that file: the freed entry is what their bounce lacked.
+     */
+    void releaseMshr(CoreId core, Addr line_addr);
+
     /** Try to issue one prefetch candidate into the memory system. */
     void issuePrefetch(CoreId core, Addr addr, Addr pc, Cycle now);
 
@@ -355,6 +379,19 @@ class System : public core::MemoryPort, public memctrl::ResponseHandler
      * completion or drop touches the core from outside its own tick.
      */
     std::vector<Cycle> core_next_;
+
+    /**
+     * Per-core parked demand address (kInvalidAddr = not parked). A
+     * non-runahead demand that bounced on its own full MSHR file bounces
+     * identically until an entry of that file is released: nothing else
+     * can change the L1, L2, pollution-filter or MSHR state its lookup
+     * read. While parked, access() answers the address in closed form
+     * and the core's issue attempts stop being events. Cleared by
+     * releaseMshr() on the file and by any runahead access of the core.
+     * Only set when event skipping is on, so the skip-off loop stays the
+     * full-lookup oracle.
+     */
+    std::vector<Addr> parked_;
 
     Histogram useful_hist_;
     Histogram useless_hist_;

@@ -16,6 +16,7 @@
 
 #include <memory>
 #include <tuple>
+#include <type_traits>
 
 #include "sim/metrics.hh"
 #include "sim/system.hh"
@@ -27,16 +28,39 @@ namespace padc::sim
 namespace
 {
 
+// gtest prints a Shape byte by byte into the test name. The bytes that
+// would otherwise be padding are members, so every copy carries them as
+// zeros and the names stay the same from run to run.
 struct Shape
 {
     std::uint32_t cores;
     SchedPolicyKind policy;
     bool apd;
+    std::uint8_t unused0[2] = {};
     std::uint32_t channels;
     PrefetcherKind prefetcher;
     bool shared_l2;
     RowPolicy row_policy;
+    std::uint8_t unused1 = 0;
 };
+static_assert(std::has_unique_object_representations_v<Shape>,
+              "Shape must have no padding");
+
+Shape
+makeShape(std::uint32_t cores, SchedPolicyKind policy, bool apd,
+          std::uint32_t channels, PrefetcherKind prefetcher, bool shared_l2,
+          RowPolicy row_policy)
+{
+    Shape shape{};
+    shape.cores = cores;
+    shape.policy = policy;
+    shape.apd = apd;
+    shape.channels = channels;
+    shape.prefetcher = prefetcher;
+    shape.shared_l2 = shared_l2;
+    shape.row_policy = row_policy;
+    return shape;
+}
 
 class InvariantProperty : public ::testing::TestWithParam<Shape>
 {
@@ -144,20 +168,20 @@ TEST_P(InvariantProperty, Deterministic)
 INSTANTIATE_TEST_SUITE_P(
     Shapes, InvariantProperty,
     ::testing::Values(
-        Shape{1, SchedPolicyKind::FrFcfs, false, 1, PrefetcherKind::Stream,
-              false, RowPolicy::Open},
-        Shape{2, SchedPolicyKind::DemandFirst, false, 1,
-              PrefetcherKind::Stride, false, RowPolicy::Open},
-        Shape{2, SchedPolicyKind::Aps, true, 2, PrefetcherKind::Stream,
-              false, RowPolicy::Open},
-        Shape{4, SchedPolicyKind::Aps, true, 1, PrefetcherKind::Cdc,
-              false, RowPolicy::Closed},
-        Shape{4, SchedPolicyKind::Aps, true, 2, PrefetcherKind::Markov,
-              true, RowPolicy::Open},
-        Shape{4, SchedPolicyKind::PrefetchFirst, false, 1,
-              PrefetcherKind::Stream, false, RowPolicy::Open},
-        Shape{8, SchedPolicyKind::Aps, true, 1, PrefetcherKind::Stream,
-              false, RowPolicy::Open}));
+        makeShape(1, SchedPolicyKind::FrFcfs, false, 1, PrefetcherKind::Stream,
+                  false, RowPolicy::Open),
+        makeShape(2, SchedPolicyKind::DemandFirst, false, 1,
+                  PrefetcherKind::Stride, false, RowPolicy::Open),
+        makeShape(2, SchedPolicyKind::Aps, true, 2, PrefetcherKind::Stream,
+                  false, RowPolicy::Open),
+        makeShape(4, SchedPolicyKind::Aps, true, 1, PrefetcherKind::Cdc,
+                  false, RowPolicy::Closed),
+        makeShape(4, SchedPolicyKind::Aps, true, 2, PrefetcherKind::Markov,
+                  true, RowPolicy::Open),
+        makeShape(4, SchedPolicyKind::PrefetchFirst, false, 1,
+                  PrefetcherKind::Stream, false, RowPolicy::Open),
+        makeShape(8, SchedPolicyKind::Aps, true, 1, PrefetcherKind::Stream,
+                  false, RowPolicy::Open)));
 
 } // namespace
 } // namespace padc::sim
