@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 
+#include "common/fnv.hh"
 #include "exp/report.hh"
 #include "obs/monitor.hh"
 #include "sim/interrupt.hh"
@@ -15,26 +16,6 @@ namespace padc::exp
 
 namespace
 {
-
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-std::uint64_t
-fnv1a(std::uint64_t hash, const void *data, std::size_t size)
-{
-    const auto *bytes = static_cast<const unsigned char *>(data);
-    for (std::size_t i = 0; i < size; ++i) {
-        hash ^= bytes[i];
-        hash *= kFnvPrime;
-    }
-    return hash;
-}
-
-std::uint64_t
-fnv1a(std::uint64_t hash, const std::string &text)
-{
-    return fnv1a(hash, text.data(), text.size());
-}
 
 /** Simulated cycles of one run: the slowest core's cycle count. */
 Cycle
@@ -96,9 +77,9 @@ std::uint64_t
 ExperimentResult::configHash() const
 {
     const std::uint64_t count = points.size();
-    std::uint64_t hash = fnv1a(kFnvOffset, &count, sizeof(count));
+    std::uint64_t hash = fnv1a(&count, sizeof(count), kFnvTruncatedOffset);
     for (const PointRecord &point : points)
-        hash = fnv1a(hash, &point.key, sizeof(point.key));
+        hash = fnv1a(&point.key, sizeof(point.key), hash);
     return hash;
 }
 
@@ -277,7 +258,8 @@ ExperimentContext::recordCustomPoint(const std::string &label,
                                      Cycle cycles, const StatSet &metrics)
 {
     PointRecord record;
-    record.key = fnv1a(fnv1a(kFnvOffset, info_.name), "/" + label);
+    const std::string path = info_.name + "/" + label;
+    record.key = fnv1a(path.data(), path.size(), kFnvTruncatedOffset);
     record.label = label;
     record.status = "ok";
     record.cycles = cycles;

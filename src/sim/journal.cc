@@ -9,7 +9,11 @@
 #include <memory>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 #include <vector>
+
+#include "common/fnv.hh"
+#include "sim/fields.hh"
 
 namespace padc::sim
 {
@@ -19,22 +23,17 @@ namespace
 
 // --- hashing ----------------------------------------------------------
 
-/** FNV-1a over typed fields; the canonical sweep-point fingerprint. */
-class Fnv
+/** FNV-1a over typed tokens; the canonical sweep-point fingerprint. */
+class KeyHash
 {
   public:
     void
-    byte(unsigned char b)
-    {
-        hash_ ^= b;
-        hash_ *= 0x100000001b3ULL;
-    }
-
-    void
     u64(std::uint64_t v)
     {
+        unsigned char bytes[8];
         for (int i = 0; i < 8; ++i)
-            byte(static_cast<unsigned char>(v >> (8 * i)));
+            bytes[i] = static_cast<unsigned char>(v >> (8 * i));
+        hash_ = fnv1a(bytes, sizeof(bytes), hash_);
     }
 
     void
@@ -49,8 +48,7 @@ class Fnv
     str(const std::string &s)
     {
         u64(s.size());
-        for (const char c : s)
-            byte(static_cast<unsigned char>(c));
+        hash_ = fnv1a(s.data(), s.size(), hash_);
     }
 
     std::uint64_t
@@ -60,15 +58,17 @@ class Fnv
     }
 
   private:
-    std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+    std::uint64_t hash_ = kFnvOffset;
 };
 
 // --- payload serialization --------------------------------------------
 //
-// One journal line is: "padcj1 <kind> <key> <body...>\n", where every
+// One journal line is: "padcj2 <kind> <key> <body...>\n", where every
 // token is space-separated, integers are lowercase hex, doubles are the
 // hex of their IEEE-754 bit pattern (bit-exact round trip), and the
-// outcome detail string is hex-encoded bytes ("-" when empty).
+// outcome detail string is hex-encoded bytes ("-" when empty). The body
+// is the outcome followed by the metrics, flattened in field-table
+// order (see flatten()).
 
 class TokenWriter
 {
@@ -211,115 +211,92 @@ readOutcome(TokenReader &r, PointOutcome *outcome)
     return r.str(&outcome->detail);
 }
 
+/**
+ * Emit @p value to @p out token by token, in field-table order: bools,
+ * enums and integers as u64, doubles as their bit pattern, strings and
+ * vectors after their length, fixed arrays and tabled structs element
+ * by element. sweepPointKey() hashes this stream; the journal writes it.
+ */
+template <typename Out, typename T>
 void
-writeMetrics(TokenWriter &w, const RunMetrics &metrics)
+flatten(Out &out, const T &value)
 {
-    w.u64(metrics.cores.size());
-    for (const CoreMetrics &core : metrics.cores) {
-        w.d(core.ipc);
-        w.d(core.mpki);
-        w.d(core.spl);
-        w.d(core.acc);
-        w.d(core.cov);
-        w.d(core.rbh);
-        w.d(core.rbhu);
-        w.u64(core.traffic_demand);
-        w.u64(core.traffic_pref_useful);
-        w.u64(core.traffic_pref_useless);
-        w.u64(core.traffic_writeback);
-        w.u64(core.instructions);
-        w.u64(core.cycles);
+    if constexpr (Tabled<T>) {
+        forEachField(value, [&](const char *, const auto &field) {
+            flatten(out, field);
+        });
+    } else if constexpr (std::is_same_v<T, double>) {
+        out.d(value);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+        out.str(value);
+    } else if constexpr (kIsVector<T>) {
+        out.u64(value.size());
+        for (const auto &element : value)
+            flatten(out, element);
+    } else if constexpr (kIsArray<T> || kIsPerClass<T>) {
+        for (const auto &element : value)
+            flatten(out, element);
+    } else {
+        out.u64(static_cast<std::uint64_t>(value));
     }
-    for (const std::uint64_t serviced : metrics.class_serviced)
-        w.u64(serviced);
 }
 
+/** Read back what flatten() wrote; false on any malformed token. */
+template <typename T>
 bool
-readMetrics(TokenReader &r, RunMetrics *metrics)
+unflatten(TokenReader &in, T &value)
 {
-    std::uint64_t cores = 0;
-    if (!r.u64(&cores) || cores > memctrl::kMaxCores)
-        return false;
-    metrics->cores.clear();
-    metrics->cores.resize(cores);
-    for (CoreMetrics &core : metrics->cores) {
-        if (!r.d(&core.ipc) || !r.d(&core.mpki) || !r.d(&core.spl) ||
-            !r.d(&core.acc) || !r.d(&core.cov) || !r.d(&core.rbh) ||
-            !r.d(&core.rbhu) || !r.u64(&core.traffic_demand) ||
-            !r.u64(&core.traffic_pref_useful) ||
-            !r.u64(&core.traffic_pref_useless) ||
-            !r.u64(&core.traffic_writeback) ||
-            !r.u64(&core.instructions) || !r.u64(&core.cycles)) {
+    if constexpr (Tabled<T>) {
+        return forEachField(value, [&](const char *, auto &&field) {
+            return unflatten(in, field);
+        });
+    } else if constexpr (std::is_same_v<T, double>) {
+        return in.d(&value);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+        return in.str(&value);
+    } else if constexpr (kIsVector<T>) {
+        std::uint64_t n = 0;
+        if (!in.u64(&n) || n > kMaxTabledVector)
             return false;
+        value.clear();
+        value.resize(n);
+        for (auto &element : value) {
+            if (!unflatten(in, element))
+                return false;
         }
-    }
-    for (std::uint64_t &serviced : metrics->class_serviced) {
-        if (!r.u64(&serviced))
+        return true;
+    } else if constexpr (kIsArray<T> || kIsPerClass<T>) {
+        for (auto &element : value) {
+            if (!unflatten(in, element))
+                return false;
+        }
+        return true;
+    } else {
+        std::uint64_t v = 0;
+        if (!in.u64(&v) || !fitsField<T>(v))
             return false;
+        value = static_cast<T>(v);
+        return true;
     }
-    return true;
 }
 
-void
-writeSummary(TokenWriter &w, const MultiCoreMetrics &summary)
-{
-    w.u64(summary.speedups.size());
-    for (const double is : summary.speedups)
-        w.d(is);
-    w.d(summary.ws);
-    w.d(summary.hs);
-    w.d(summary.uf);
-}
-
-bool
-readSummary(TokenReader &r, MultiCoreMetrics *summary)
-{
-    std::uint64_t n = 0;
-    if (!r.u64(&n) || n > memctrl::kMaxCores)
-        return false;
-    summary->speedups.clear();
-    summary->speedups.resize(n);
-    for (double &is : summary->speedups) {
-        if (!r.d(&is))
-            return false;
-    }
-    return r.d(&summary->ws) && r.d(&summary->hs) && r.d(&summary->uf);
-}
-
+template <typename T>
 std::string
-serialize(const Result<RunMetrics> &result)
+serialize(const Result<T> &result)
 {
     TokenWriter w;
     writeOutcome(w, result.outcome);
-    writeMetrics(w, result.value);
+    flatten(w, result.value);
     return w.out();
 }
 
-std::string
-serialize(const Result<MixEvaluation> &result)
-{
-    TokenWriter w;
-    writeOutcome(w, result.outcome);
-    writeMetrics(w, result.value.metrics);
-    writeSummary(w, result.value.summary);
-    return w.out();
-}
-
+template <typename T>
 bool
-deserialize(const std::string &body, Result<RunMetrics> *result)
+deserialize(const std::string &body, Result<T> *result)
 {
     TokenReader r(body);
     return readOutcome(r, &result->outcome) &&
-           readMetrics(r, &result->value) && r.done();
-}
-
-bool
-deserialize(const std::string &body, Result<MixEvaluation> *result)
-{
-    TokenReader r(body);
-    return readOutcome(r, &result->outcome) &&
-           readMetrics(r, &result->value.metrics) &&
-           readSummary(r, &result->value.summary) && r.done();
+           unflatten(r, result->value) && r.done();
 }
 
 constexpr char kLineTag[] = "padcj2";
@@ -329,109 +306,8 @@ constexpr char kLineTag[] = "padcj2";
 std::uint64_t
 sweepPointKey(const SweepPoint &point)
 {
-    Fnv h;
-    const SystemConfig &c = point.config;
-
-    h.u64(c.num_cores);
-    h.u64(c.core.window_size);
-    h.u64(c.core.retire_width);
-    h.u64(c.core.fetch_width);
-    h.u64(c.core.lsq_size);
-    h.u64(c.core.mem_issue_width);
-    h.u64(c.core.runahead ? 1 : 0);
-    h.u64(c.core.runahead_max_ops);
-
-    for (const cache::CacheConfig *cache : {&c.l1, &c.l2}) {
-        h.u64(cache->size_bytes);
-        h.u64(cache->ways);
-        h.u64(cache->hit_latency);
-        h.u64(static_cast<std::uint64_t>(cache->repl));
-    }
-    h.u64(c.shared_l2 ? 1 : 0);
-    h.u64(c.mshr_per_l2);
-
-    h.u64(c.prefetch_enabled ? 1 : 0);
-    h.u64(static_cast<std::uint64_t>(c.prefetcher.kind));
-    h.u64(c.prefetcher.stream_entries);
-    h.u64(c.prefetcher.degree);
-    h.u64(c.prefetcher.distance);
-    h.u64(c.prefetcher.train_window);
-    h.u64(c.prefetcher.stride_entries);
-    h.u64(c.prefetcher.czone_shift);
-    h.u64(c.prefetcher.czone_entries);
-    h.u64(c.prefetcher.delta_history);
-    h.u64(c.prefetcher.markov_entries);
-    h.u64(c.prefetcher.markov_successors);
-
-    h.u64(c.ddpf_enabled ? 1 : 0);
-    h.u64(c.ddpf.table_entries);
-    h.u64(c.ddpf.threshold);
-    h.u64(c.ddpf.initial);
-
-    h.u64(c.fdp_enabled ? 1 : 0);
-    h.u64(c.fdp.interval);
-    h.d(c.fdp.accuracy_high);
-    h.d(c.fdp.accuracy_low);
-    h.d(c.fdp.lateness_threshold);
-    h.d(c.fdp.pollution_threshold);
-    h.u64(c.fdp.pollution_filter_bits);
-    h.u64(c.fdp.initial_level);
-
-    h.u64(static_cast<std::uint64_t>(c.sched.kind));
-    h.u64(c.sched.apd_enabled ? 1 : 0);
-    h.u64(c.sched.urgency_enabled ? 1 : 0);
-    h.u64(c.sched.ranking_enabled ? 1 : 0);
-    h.d(c.sched.promotion_threshold);
-    h.u64(c.sched.request_buffer_size);
-    h.u64(c.sched.write_buffer_size);
-    h.u64(c.sched.write_drain_high);
-    h.u64(c.sched.write_drain_low);
-    h.u64(static_cast<std::uint64_t>(c.sched.row_policy));
-    h.u64(c.sched.reference_scheduler ? 1 : 0);
-    h.u64(c.sched.age_quantum);
-    for (const Cycle t : c.sched.drop_thresholds)
-        h.u64(t);
-    for (const double b : c.sched.drop_accuracy_bounds)
-        h.d(b);
-    h.u64(c.sched.accuracy.interval);
-    h.d(c.sched.accuracy.initial_accuracy);
-    h.u64(c.sched.accuracy.min_samples);
-
-    const dram::TimingParams &t = c.dram.timing;
-    h.u64(t.cpu_per_dram_cycle);
-    h.u64(t.tRCD);
-    h.u64(t.tRP);
-    h.u64(t.tCL);
-    h.u64(t.tCWL);
-    h.u64(t.tRAS);
-    h.u64(t.tRC);
-    h.u64(t.tBURST);
-    h.u64(t.tCCD);
-    h.u64(t.tRRD);
-    h.u64(t.tFAW);
-    h.u64(t.tWTR);
-    h.u64(t.tWR);
-    h.u64(t.tRTP);
-    h.u64(t.tREFI);
-    h.u64(t.tRFC);
-    h.u64(t.refresh_enabled ? 1 : 0);
-
-    const dram::Geometry &g = c.dram.geometry;
-    h.u64(g.channels);
-    h.u64(g.banks_per_channel);
-    h.u64(g.row_bytes);
-    h.u64(static_cast<std::uint64_t>(g.interleave));
-    h.u64(g.permutation_interleaving ? 1 : 0);
-
-    h.u64(point.mix.size());
-    for (const std::string &profile : point.mix)
-        h.str(profile);
-
-    h.u64(point.options.instructions);
-    h.u64(point.options.warmup);
-    h.u64(point.options.max_cycles);
-    h.u64(point.options.mix_seed);
-
+    KeyHash h;
+    flatten(h, point);
     return h.digest();
 }
 

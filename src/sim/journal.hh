@@ -25,11 +25,13 @@
  *    process being killed); set PADC_JOURNAL_FSYNC=1 to fsync(2) after
  *    every record when the journal must also survive a machine crash.
  *
- * The key hashes every field that influences a point's result. Config
- * fields added in the future must be folded into sweepPointKey();
- * failing to do so risks stale replays across configs that differ only
- * in the new field (the version tag below guards format changes, not
- * key-coverage changes).
+ * The key hashes every field that influences a point's result: it walks
+ * the field table of sim/fields.hh, the same table the journal's metrics
+ * codec and the worker wire use. A member added to a tabled struct
+ * without a table entry fails the build (each table is checked against
+ * its struct's member count), so a new knob cannot be silently left out
+ * of the key and alias two configs onto one journal entry. The line tag
+ * (padcj2) guards the journal's format, not the key's coverage.
  *
  * Benches opt in via the PADC_RESUME environment variable (see
  * envJournal()); the library never touches the filesystem unless asked.
@@ -52,9 +54,9 @@ namespace padc::sim
 {
 
 /**
- * Deterministic 64-bit key of one sweep point: FNV-1a over a canonical
- * serialization of the complete SystemConfig, the mix profile names,
- * and the RunOptions (including seeds).
+ * Deterministic 64-bit key of one sweep point: FNV-1a over every field
+ * of the SystemConfig, the mix profile names and the RunOptions
+ * (including seeds), in field-table order (sim/fields.hh).
  */
 std::uint64_t sweepPointKey(const SweepPoint &point);
 

@@ -16,7 +16,6 @@
 #include <type_traits>
 #include <utility>
 
-#include "exp/json.hh"
 #include "obs/metrics.hh"
 #include "obs/monitor.hh"
 #include "sim/interrupt.hh"
@@ -129,17 +128,11 @@ executePoint(Fn &&fn)
  * options) pair, warm across every task this worker process executes.
  */
 AloneIpcCache &
-aloneFor(std::map<std::string, std::unique_ptr<AloneIpcCache>> &caches,
+aloneFor(std::map<std::uint64_t, std::unique_ptr<AloneIpcCache>> &caches,
          const wire::WireTask &task)
 {
-    exp::JsonWriter writer;
-    writer.beginObject();
-    SweepPoint key_point;
-    key_point.config = task.alone_base;
-    key_point.options = task.alone_options;
-    wire::encodePoint(writer, "alone", key_point);
-    writer.endObject();
-    auto &slot = caches[writer.str()];
+    auto &slot =
+        caches[sweepPointKey({task.alone_base, {}, task.alone_options})];
     if (slot == nullptr) {
         slot = std::make_unique<AloneIpcCache>(task.alone_base,
                                                task.alone_options);
@@ -824,7 +817,7 @@ ProcessPool::workerMain(int task_fd, int result_fd)
     if (!wire::writeFrame(result_fd, wire::encodeHello()))
         return 1;
 
-    std::map<std::string, std::unique_ptr<AloneIpcCache>> alone_caches;
+    std::map<std::uint64_t, std::unique_ptr<AloneIpcCache>> alone_caches;
     std::uint64_t tasks_done = 0;
     std::string payload;
     while (wire::readFrame(task_fd, &payload)) {

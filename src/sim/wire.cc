@@ -6,6 +6,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <type_traits>
+
+#include "sim/fields.hh"
 
 namespace padc::sim::wire
 {
@@ -83,17 +86,6 @@ parseU64Strict(const char *text, std::uint64_t *out)
 }
 
 bool
-getObject(const exp::JsonValue &value, const std::string &key,
-          const exp::JsonValue **out, std::string *error)
-{
-    const exp::JsonValue *member = value.find(key);
-    if (member == nullptr || !member->isObject())
-        return fail(error, "missing object member '" + key + "'");
-    *out = member;
-    return true;
-}
-
-bool
 getString(const exp::JsonValue &value, const std::string &key,
           std::string *out, std::string *error)
 {
@@ -104,400 +96,193 @@ getString(const exp::JsonValue &value, const std::string &key,
     return true;
 }
 
-bool
-getU64(const exp::JsonValue &value, const std::string &key,
-       std::uint64_t *out, std::string *error)
+// --- tabled values ----------------------------------------------------
+//
+// Points and metrics travel as JSON objects whose member names come
+// from the field tables (sim/fields.hh): tabled structs nest as
+// objects, vectors become arrays, a fixed array becomes one member per
+// element ("drop_thresholds_0", ...), and a per-class array becomes an
+// object keyed by class name. Integers and enums are decimal strings,
+// doubles numbers and bools booleans (see wire.hh).
+
+template <typename T>
+void encodeFields(exp::JsonWriter &w, const T &value);
+
+/** Write @p value as member @p name of the innermost open object. */
+template <typename T>
+void
+encodeMember(exp::JsonWriter &w, const std::string &name, const T &value)
 {
-    std::string text;
-    if (!getString(value, key, &text, error))
-        return false;
-    if (!parseU64Strict(text.c_str(), out))
-        return fail(error, "member '" + key + "' is not a u64: '" +
-                               text + "'");
-    return true;
+    if constexpr (Tabled<T>) {
+        w.beginObject(name);
+        encodeFields(w, value);
+        w.endObject();
+    } else if constexpr (std::is_same_v<T, double> ||
+                         std::is_same_v<T, bool>) {
+        w.member(name, value);
+    } else if constexpr (kIsVector<T>) {
+        w.beginArray(name);
+        for (const auto &element : value) {
+            if constexpr (Tabled<typename T::value_type>) {
+                w.beginObject();
+                encodeFields(w, element);
+                w.endObject();
+            } else {
+                w.element(element);
+            }
+        }
+        w.endArray();
+    } else if constexpr (kIsArray<T>) {
+        for (std::size_t i = 0; i < value.size(); ++i)
+            encodeMember(w, name + "_" + std::to_string(i), value[i]);
+    } else if constexpr (kIsPerClass<T>) {
+        w.beginObject(name);
+        std::size_t c = 0;
+        for (const auto &count : value)
+            encodeMember(w, toString(static_cast<RequestClass>(c++)), count);
+        w.endObject();
+    } else {
+        w.member(name, u64s(static_cast<std::uint64_t>(value)));
+    }
 }
 
-/** getU64 into any integer/enum field type. */
+/** Write every field of @p value as a member of the open object. */
+template <typename T>
+void
+encodeFields(exp::JsonWriter &w, const T &value)
+{
+    forEachField(value, [&](const char *name, const auto &field) {
+        encodeMember(w, name, field);
+    });
+}
+
+/** Dotted path of member @p name of the object at @p path. */
+std::string
+memberPath(const std::string &path, const std::string &name)
+{
+    return path.empty() ? name : path + "." + name;
+}
+
+template <typename T>
+bool decodeFields(const exp::JsonValue &object, T &value,
+                  const std::string &path, std::string *error);
+
+/** Decode one array element (a tabled struct, number or string). */
 template <typename T>
 bool
-u64Field(const exp::JsonValue &value, const std::string &key, T *field,
-         std::string *error)
+decodeElement(const exp::JsonValue &element, T &value,
+              const std::string &path, std::string *error)
 {
-    std::uint64_t v = 0;
-    if (!getU64(value, key, &v, error))
-        return false;
-    *field = static_cast<T>(v);
-    return true;
-}
-
-bool
-getDouble(const exp::JsonValue &value, const std::string &key,
-          double *out, std::string *error)
-{
-    const exp::JsonValue *member = value.find(key);
-    if (member == nullptr || !member->isNumber())
-        return fail(error, "missing number member '" + key + "'");
-    *out = member->number;
-    return true;
-}
-
-bool
-getBool(const exp::JsonValue &value, const std::string &key, bool *out,
-        std::string *error)
-{
-    const exp::JsonValue *member = value.find(key);
-    if (member == nullptr || member->kind != exp::JsonValue::Kind::Bool)
-        return fail(error, "missing bool member '" + key + "'");
-    *out = member->boolean;
-    return true;
-}
-
-// --- config / options / mix -------------------------------------------
-
-void
-encodeOptions(exp::JsonWriter &w, const std::string &key,
-              const RunOptions &options)
-{
-    w.beginObject(key);
-    w.member("instructions", u64s(options.instructions));
-    w.member("warmup", u64s(options.warmup));
-    w.member("max_cycles", u64s(options.max_cycles));
-    w.member("mix_seed", u64s(options.mix_seed));
-    w.endObject();
-}
-
-bool
-decodeOptions(const exp::JsonValue &value, RunOptions *out,
-              std::string *error)
-{
-    return u64Field(value, "instructions", &out->instructions, error) &&
-           u64Field(value, "warmup", &out->warmup, error) &&
-           u64Field(value, "max_cycles", &out->max_cycles, error) &&
-           u64Field(value, "mix_seed", &out->mix_seed, error);
-}
-
-void
-encodeCache(exp::JsonWriter &w, const std::string &key,
-            const cache::CacheConfig &cache)
-{
-    w.beginObject(key);
-    w.member("size_bytes", u64s(cache.size_bytes));
-    w.member("ways", u64s(cache.ways));
-    w.member("hit_latency", u64s(cache.hit_latency));
-    w.member("repl", u64s(static_cast<std::uint64_t>(cache.repl)));
-    w.endObject();
-}
-
-bool
-decodeCache(const exp::JsonValue &value, cache::CacheConfig *out,
-            std::string *error)
-{
-    return u64Field(value, "size_bytes", &out->size_bytes, error) &&
-           u64Field(value, "ways", &out->ways, error) &&
-           u64Field(value, "hit_latency", &out->hit_latency, error) &&
-           u64Field(value, "repl", &out->repl, error);
+    if constexpr (Tabled<T>) {
+        if (!element.isObject())
+            return fail(error, "element '" + path + "' is not an object");
+        return decodeFields(element, value, path, error);
+    } else if constexpr (std::is_same_v<T, double>) {
+        if (!element.isNumber())
+            return fail(error, "element '" + path + "' is not a number");
+        value = element.number;
+        return true;
+    } else {
+        static_assert(std::is_same_v<T, std::string>);
+        if (!element.isString())
+            return fail(error, "element '" + path + "' is not a string");
+        value = element.string;
+        return true;
+    }
 }
 
 /**
- * Serialize every SystemConfig field sweepPointKey() hashes, in the
- * same order (that function is the canonical "fields that influence a
- * result" list; collector and event_skip are execution details and
- * deliberately stay behind).
+ * Decode member @p name of @p object (the object at @p path) into
+ * @p value. Every error names the member's dotted path; an integer
+ * that does not fit its field is an error, never truncated.
  */
-void
-encodeConfig(exp::JsonWriter &w, const std::string &key,
-             const SystemConfig &c)
-{
-    w.beginObject(key);
-    w.member("num_cores", u64s(c.num_cores));
-
-    w.beginObject("core");
-    w.member("window_size", u64s(c.core.window_size));
-    w.member("retire_width", u64s(c.core.retire_width));
-    w.member("fetch_width", u64s(c.core.fetch_width));
-    w.member("lsq_size", u64s(c.core.lsq_size));
-    w.member("mem_issue_width", u64s(c.core.mem_issue_width));
-    w.member("runahead", c.core.runahead);
-    w.member("runahead_max_ops", u64s(c.core.runahead_max_ops));
-    w.endObject();
-
-    encodeCache(w, "l1", c.l1);
-    encodeCache(w, "l2", c.l2);
-    w.member("shared_l2", c.shared_l2);
-    w.member("mshr_per_l2", u64s(c.mshr_per_l2));
-
-    w.member("prefetch_enabled", c.prefetch_enabled);
-    w.beginObject("prefetcher");
-    w.member("kind", u64s(static_cast<std::uint64_t>(c.prefetcher.kind)));
-    w.member("stream_entries", u64s(c.prefetcher.stream_entries));
-    w.member("degree", u64s(c.prefetcher.degree));
-    w.member("distance", u64s(c.prefetcher.distance));
-    w.member("train_window", u64s(c.prefetcher.train_window));
-    w.member("stride_entries", u64s(c.prefetcher.stride_entries));
-    w.member("czone_shift", u64s(c.prefetcher.czone_shift));
-    w.member("czone_entries", u64s(c.prefetcher.czone_entries));
-    w.member("delta_history", u64s(c.prefetcher.delta_history));
-    w.member("markov_entries", u64s(c.prefetcher.markov_entries));
-    w.member("markov_successors", u64s(c.prefetcher.markov_successors));
-    w.endObject();
-
-    w.member("ddpf_enabled", c.ddpf_enabled);
-    w.beginObject("ddpf");
-    w.member("table_entries", u64s(c.ddpf.table_entries));
-    w.member("threshold", u64s(c.ddpf.threshold));
-    w.member("initial", u64s(c.ddpf.initial));
-    w.endObject();
-
-    w.member("fdp_enabled", c.fdp_enabled);
-    w.beginObject("fdp");
-    w.member("interval", u64s(c.fdp.interval));
-    w.member("accuracy_high", c.fdp.accuracy_high);
-    w.member("accuracy_low", c.fdp.accuracy_low);
-    w.member("lateness_threshold", c.fdp.lateness_threshold);
-    w.member("pollution_threshold", c.fdp.pollution_threshold);
-    w.member("pollution_filter_bits", u64s(c.fdp.pollution_filter_bits));
-    w.member("initial_level", u64s(c.fdp.initial_level));
-    w.endObject();
-
-    w.beginObject("sched");
-    w.member("kind", u64s(static_cast<std::uint64_t>(c.sched.kind)));
-    w.member("apd_enabled", c.sched.apd_enabled);
-    w.member("urgency_enabled", c.sched.urgency_enabled);
-    w.member("ranking_enabled", c.sched.ranking_enabled);
-    w.member("promotion_threshold", c.sched.promotion_threshold);
-    w.member("request_buffer_size", u64s(c.sched.request_buffer_size));
-    w.member("write_buffer_size", u64s(c.sched.write_buffer_size));
-    w.member("write_drain_high", u64s(c.sched.write_drain_high));
-    w.member("write_drain_low", u64s(c.sched.write_drain_low));
-    w.member("row_policy",
-             u64s(static_cast<std::uint64_t>(c.sched.row_policy)));
-    w.member("reference_scheduler", c.sched.reference_scheduler);
-    w.member("age_quantum", u64s(c.sched.age_quantum));
-    for (std::size_t i = 0; i < c.sched.drop_thresholds.size(); ++i)
-        w.member("drop_thresholds_" + std::to_string(i),
-                 u64s(c.sched.drop_thresholds[i]));
-    for (std::size_t i = 0; i < c.sched.drop_accuracy_bounds.size(); ++i)
-        w.member("drop_accuracy_bounds_" + std::to_string(i),
-                 c.sched.drop_accuracy_bounds[i]);
-    w.beginObject("accuracy");
-    w.member("interval", u64s(c.sched.accuracy.interval));
-    w.member("initial_accuracy", c.sched.accuracy.initial_accuracy);
-    w.member("min_samples", u64s(c.sched.accuracy.min_samples));
-    w.endObject();
-    w.endObject();
-
-    w.beginObject("dram");
-    const dram::TimingParams &t = c.dram.timing;
-    w.beginObject("timing");
-    w.member("cpu_per_dram_cycle", u64s(t.cpu_per_dram_cycle));
-    w.member("tRCD", u64s(t.tRCD));
-    w.member("tRP", u64s(t.tRP));
-    w.member("tCL", u64s(t.tCL));
-    w.member("tCWL", u64s(t.tCWL));
-    w.member("tRAS", u64s(t.tRAS));
-    w.member("tRC", u64s(t.tRC));
-    w.member("tBURST", u64s(t.tBURST));
-    w.member("tCCD", u64s(t.tCCD));
-    w.member("tRRD", u64s(t.tRRD));
-    w.member("tFAW", u64s(t.tFAW));
-    w.member("tWTR", u64s(t.tWTR));
-    w.member("tWR", u64s(t.tWR));
-    w.member("tRTP", u64s(t.tRTP));
-    w.member("tREFI", u64s(t.tREFI));
-    w.member("tRFC", u64s(t.tRFC));
-    w.member("refresh_enabled", t.refresh_enabled);
-    w.endObject();
-    const dram::Geometry &g = c.dram.geometry;
-    w.beginObject("geometry");
-    w.member("channels", u64s(g.channels));
-    w.member("banks_per_channel", u64s(g.banks_per_channel));
-    w.member("row_bytes", u64s(g.row_bytes));
-    w.member("interleave",
-             u64s(static_cast<std::uint64_t>(g.interleave)));
-    w.member("permutation_interleaving", g.permutation_interleaving);
-    w.endObject();
-    w.endObject();
-
-    w.endObject();
-}
-
+template <typename T>
 bool
-decodeConfig(const exp::JsonValue &value, SystemConfig *out,
-             std::string *error)
+decodeMember(const exp::JsonValue &object, const std::string &name,
+             T &value, const std::string &path, std::string *error)
 {
-    SystemConfig &c = *out;
-    if (!u64Field(value, "num_cores", &c.num_cores, error))
-        return false;
-
-    const exp::JsonValue *core = nullptr;
-    if (!getObject(value, "core", &core, error) ||
-        !u64Field(*core, "window_size", &c.core.window_size, error) ||
-        !u64Field(*core, "retire_width", &c.core.retire_width, error) ||
-        !u64Field(*core, "fetch_width", &c.core.fetch_width, error) ||
-        !u64Field(*core, "lsq_size", &c.core.lsq_size, error) ||
-        !u64Field(*core, "mem_issue_width", &c.core.mem_issue_width,
-                  error) ||
-        !getBool(*core, "runahead", &c.core.runahead, error) ||
-        !u64Field(*core, "runahead_max_ops", &c.core.runahead_max_ops,
-                  error)) {
-        return false;
+    const exp::JsonValue *member = object.find(name);
+    const auto where = [&] { return memberPath(path, name); };
+    const auto missing = [&](const char *kind) {
+        return fail(error, std::string("missing ") + kind + " member '" +
+                               where() + "'");
+    };
+    if constexpr (Tabled<T>) {
+        if (member == nullptr || !member->isObject())
+            return missing("object");
+        return decodeFields(*member, value, where(), error);
+    } else if constexpr (std::is_same_v<T, double>) {
+        if (member == nullptr || !member->isNumber())
+            return missing("number");
+        value = member->number;
+        return true;
+    } else if constexpr (std::is_same_v<T, bool>) {
+        if (member == nullptr || member->kind != exp::JsonValue::Kind::Bool)
+            return missing("bool");
+        value = member->boolean;
+        return true;
+    } else if constexpr (kIsVector<T>) {
+        if (member == nullptr || !member->isArray())
+            return missing("array");
+        if (member->array.size() > kMaxTabledVector)
+            return fail(error, "member '" + where() + "' has more than " +
+                                   std::to_string(kMaxTabledVector) +
+                                   " elements");
+        value.clear();
+        value.resize(member->array.size());
+        for (std::size_t i = 0; i < value.size(); ++i) {
+            if (!decodeElement(member->array[i], value[i],
+                               where() + "[" + std::to_string(i) + "]",
+                               error))
+                return false;
+        }
+        return true;
+    } else if constexpr (kIsArray<T>) {
+        for (std::size_t i = 0; i < value.size(); ++i) {
+            if (!decodeMember(object, name + "_" + std::to_string(i),
+                              value[i], path, error))
+                return false;
+        }
+        return true;
+    } else if constexpr (kIsPerClass<T>) {
+        if (member == nullptr || !member->isObject())
+            return missing("object");
+        std::size_t c = 0;
+        for (auto &count : value) {
+            if (!decodeMember(*member,
+                              toString(static_cast<RequestClass>(c++)),
+                              count, where(), error))
+                return false;
+        }
+        return true;
+    } else {
+        std::uint64_t v = 0;
+        if (member == nullptr || !member->isString())
+            return missing("string");
+        if (!parseU64Strict(member->string.c_str(), &v))
+            return fail(error, "member '" + where() + "' is not a u64: '" +
+                                   member->string + "'");
+        if (!fitsField<T>(v))
+            return fail(error, "member '" + where() + "' = " +
+                                   member->string +
+                                   " does not fit its field");
+        value = static_cast<T>(v);
+        return true;
     }
-
-    const exp::JsonValue *l1 = nullptr;
-    const exp::JsonValue *l2 = nullptr;
-    if (!getObject(value, "l1", &l1, error) ||
-        !decodeCache(*l1, &c.l1, error) ||
-        !getObject(value, "l2", &l2, error) ||
-        !decodeCache(*l2, &c.l2, error) ||
-        !getBool(value, "shared_l2", &c.shared_l2, error) ||
-        !u64Field(value, "mshr_per_l2", &c.mshr_per_l2, error)) {
-        return false;
-    }
-
-    const exp::JsonValue *pf = nullptr;
-    if (!getBool(value, "prefetch_enabled", &c.prefetch_enabled,
-                 error) ||
-        !getObject(value, "prefetcher", &pf, error) ||
-        !u64Field(*pf, "kind", &c.prefetcher.kind, error) ||
-        !u64Field(*pf, "stream_entries", &c.prefetcher.stream_entries,
-                  error) ||
-        !u64Field(*pf, "degree", &c.prefetcher.degree, error) ||
-        !u64Field(*pf, "distance", &c.prefetcher.distance, error) ||
-        !u64Field(*pf, "train_window", &c.prefetcher.train_window,
-                  error) ||
-        !u64Field(*pf, "stride_entries", &c.prefetcher.stride_entries,
-                  error) ||
-        !u64Field(*pf, "czone_shift", &c.prefetcher.czone_shift,
-                  error) ||
-        !u64Field(*pf, "czone_entries", &c.prefetcher.czone_entries,
-                  error) ||
-        !u64Field(*pf, "delta_history", &c.prefetcher.delta_history,
-                  error) ||
-        !u64Field(*pf, "markov_entries", &c.prefetcher.markov_entries,
-                  error) ||
-        !u64Field(*pf, "markov_successors",
-                  &c.prefetcher.markov_successors, error)) {
-        return false;
-    }
-
-    const exp::JsonValue *ddpf = nullptr;
-    if (!getBool(value, "ddpf_enabled", &c.ddpf_enabled, error) ||
-        !getObject(value, "ddpf", &ddpf, error) ||
-        !u64Field(*ddpf, "table_entries", &c.ddpf.table_entries,
-                  error) ||
-        !u64Field(*ddpf, "threshold", &c.ddpf.threshold, error) ||
-        !u64Field(*ddpf, "initial", &c.ddpf.initial, error)) {
-        return false;
-    }
-
-    const exp::JsonValue *fdp = nullptr;
-    if (!getBool(value, "fdp_enabled", &c.fdp_enabled, error) ||
-        !getObject(value, "fdp", &fdp, error) ||
-        !u64Field(*fdp, "interval", &c.fdp.interval, error) ||
-        !getDouble(*fdp, "accuracy_high", &c.fdp.accuracy_high,
-                   error) ||
-        !getDouble(*fdp, "accuracy_low", &c.fdp.accuracy_low, error) ||
-        !getDouble(*fdp, "lateness_threshold",
-                   &c.fdp.lateness_threshold, error) ||
-        !getDouble(*fdp, "pollution_threshold",
-                   &c.fdp.pollution_threshold, error) ||
-        !u64Field(*fdp, "pollution_filter_bits",
-                  &c.fdp.pollution_filter_bits, error) ||
-        !u64Field(*fdp, "initial_level", &c.fdp.initial_level, error)) {
-        return false;
-    }
-
-    const exp::JsonValue *sched = nullptr;
-    if (!getObject(value, "sched", &sched, error) ||
-        !u64Field(*sched, "kind", &c.sched.kind, error) ||
-        !getBool(*sched, "apd_enabled", &c.sched.apd_enabled, error) ||
-        !getBool(*sched, "urgency_enabled", &c.sched.urgency_enabled,
-                 error) ||
-        !getBool(*sched, "ranking_enabled", &c.sched.ranking_enabled,
-                 error) ||
-        !getDouble(*sched, "promotion_threshold",
-                   &c.sched.promotion_threshold, error) ||
-        !u64Field(*sched, "request_buffer_size",
-                  &c.sched.request_buffer_size, error) ||
-        !u64Field(*sched, "write_buffer_size",
-                  &c.sched.write_buffer_size, error) ||
-        !u64Field(*sched, "write_drain_high", &c.sched.write_drain_high,
-                  error) ||
-        !u64Field(*sched, "write_drain_low", &c.sched.write_drain_low,
-                  error) ||
-        !u64Field(*sched, "row_policy", &c.sched.row_policy, error) ||
-        !getBool(*sched, "reference_scheduler",
-                 &c.sched.reference_scheduler, error) ||
-        !u64Field(*sched, "age_quantum", &c.sched.age_quantum, error)) {
-        return false;
-    }
-    for (std::size_t i = 0; i < c.sched.drop_thresholds.size(); ++i) {
-        if (!u64Field(*sched, "drop_thresholds_" + std::to_string(i),
-                      &c.sched.drop_thresholds[i], error))
-            return false;
-    }
-    for (std::size_t i = 0; i < c.sched.drop_accuracy_bounds.size();
-         ++i) {
-        if (!getDouble(*sched,
-                       "drop_accuracy_bounds_" + std::to_string(i),
-                       &c.sched.drop_accuracy_bounds[i], error))
-            return false;
-    }
-    const exp::JsonValue *accuracy = nullptr;
-    if (!getObject(*sched, "accuracy", &accuracy, error) ||
-        !u64Field(*accuracy, "interval", &c.sched.accuracy.interval,
-                  error) ||
-        !getDouble(*accuracy, "initial_accuracy",
-                   &c.sched.accuracy.initial_accuracy, error) ||
-        !u64Field(*accuracy, "min_samples",
-                  &c.sched.accuracy.min_samples, error)) {
-        return false;
-    }
-
-    const exp::JsonValue *dram = nullptr;
-    const exp::JsonValue *timing = nullptr;
-    const exp::JsonValue *geometry = nullptr;
-    if (!getObject(value, "dram", &dram, error) ||
-        !getObject(*dram, "timing", &timing, error) ||
-        !getObject(*dram, "geometry", &geometry, error)) {
-        return false;
-    }
-    dram::TimingParams &t = c.dram.timing;
-    if (!u64Field(*timing, "cpu_per_dram_cycle", &t.cpu_per_dram_cycle,
-                  error) ||
-        !u64Field(*timing, "tRCD", &t.tRCD, error) ||
-        !u64Field(*timing, "tRP", &t.tRP, error) ||
-        !u64Field(*timing, "tCL", &t.tCL, error) ||
-        !u64Field(*timing, "tCWL", &t.tCWL, error) ||
-        !u64Field(*timing, "tRAS", &t.tRAS, error) ||
-        !u64Field(*timing, "tRC", &t.tRC, error) ||
-        !u64Field(*timing, "tBURST", &t.tBURST, error) ||
-        !u64Field(*timing, "tCCD", &t.tCCD, error) ||
-        !u64Field(*timing, "tRRD", &t.tRRD, error) ||
-        !u64Field(*timing, "tFAW", &t.tFAW, error) ||
-        !u64Field(*timing, "tWTR", &t.tWTR, error) ||
-        !u64Field(*timing, "tWR", &t.tWR, error) ||
-        !u64Field(*timing, "tRTP", &t.tRTP, error) ||
-        !u64Field(*timing, "tREFI", &t.tREFI, error) ||
-        !u64Field(*timing, "tRFC", &t.tRFC, error) ||
-        !getBool(*timing, "refresh_enabled", &t.refresh_enabled,
-                 error)) {
-        return false;
-    }
-    dram::Geometry &g = c.dram.geometry;
-    if (!u64Field(*geometry, "channels", &g.channels, error) ||
-        !u64Field(*geometry, "banks_per_channel", &g.banks_per_channel,
-                  error) ||
-        !u64Field(*geometry, "row_bytes", &g.row_bytes, error) ||
-        !u64Field(*geometry, "interleave", &g.interleave, error) ||
-        !getBool(*geometry, "permutation_interleaving",
-                 &g.permutation_interleaving, error)) {
-        return false;
-    }
-    return true;
 }
 
-// --- outcome / metrics / summary --------------------------------------
+/** Decode every field of @p value from the object at @p path. */
+template <typename T>
+bool
+decodeFields(const exp::JsonValue &object, T &value,
+             const std::string &path, std::string *error)
+{
+    return forEachField(value, [&](const char *name, auto &&field) {
+        return decodeMember(object, name, field, path, error);
+    });
+}
+
+// --- outcome --------------------------------------------------------
 
 void
 encodeOutcome(exp::JsonWriter &w, const PointOutcome &outcome)
@@ -523,121 +308,6 @@ decodeOutcome(const exp::JsonValue &value, PointOutcome *out,
     else
         return fail(error, "unknown point status '" + status + "'");
     return true;
-}
-
-void
-encodeMetrics(exp::JsonWriter &w, const std::string &key,
-              const RunMetrics &metrics)
-{
-    w.beginObject(key);
-    w.beginArray("cores");
-    for (const CoreMetrics &core : metrics.cores) {
-        w.beginObject();
-        w.member("ipc", core.ipc);
-        w.member("mpki", core.mpki);
-        w.member("spl", core.spl);
-        w.member("acc", core.acc);
-        w.member("cov", core.cov);
-        w.member("rbh", core.rbh);
-        w.member("rbhu", core.rbhu);
-        w.member("traffic_demand", u64s(core.traffic_demand));
-        w.member("traffic_pref_useful", u64s(core.traffic_pref_useful));
-        w.member("traffic_pref_useless",
-                 u64s(core.traffic_pref_useless));
-        w.member("traffic_writeback", u64s(core.traffic_writeback));
-        w.member("instructions", u64s(core.instructions));
-        w.member("cycles", u64s(core.cycles));
-        w.endObject();
-    }
-    w.endArray();
-    w.beginObject("class_serviced");
-    for (std::size_t c = 0; c < kRequestClassCount; ++c) {
-        w.member(toString(static_cast<RequestClass>(c)),
-                 u64s(metrics.class_serviced[c]));
-    }
-    w.endObject();
-    w.endObject();
-}
-
-bool
-decodeMetrics(const exp::JsonValue &value, RunMetrics *out,
-              std::string *error)
-{
-    const exp::JsonValue *cores = value.find("cores");
-    if (cores == nullptr || !cores->isArray())
-        return fail(error, "missing array member 'cores'");
-    if (cores->array.size() > memctrl::kMaxCores)
-        return fail(error, "implausible core count");
-    out->cores.clear();
-    out->cores.resize(cores->array.size());
-    for (std::size_t i = 0; i < cores->array.size(); ++i) {
-        const exp::JsonValue &v = cores->array[i];
-        CoreMetrics &core = out->cores[i];
-        if (!getDouble(v, "ipc", &core.ipc, error) ||
-            !getDouble(v, "mpki", &core.mpki, error) ||
-            !getDouble(v, "spl", &core.spl, error) ||
-            !getDouble(v, "acc", &core.acc, error) ||
-            !getDouble(v, "cov", &core.cov, error) ||
-            !getDouble(v, "rbh", &core.rbh, error) ||
-            !getDouble(v, "rbhu", &core.rbhu, error) ||
-            !u64Field(v, "traffic_demand", &core.traffic_demand,
-                      error) ||
-            !u64Field(v, "traffic_pref_useful",
-                      &core.traffic_pref_useful, error) ||
-            !u64Field(v, "traffic_pref_useless",
-                      &core.traffic_pref_useless, error) ||
-            !u64Field(v, "traffic_writeback", &core.traffic_writeback,
-                      error) ||
-            !u64Field(v, "instructions", &core.instructions, error) ||
-            !u64Field(v, "cycles", &core.cycles, error)) {
-            return false;
-        }
-    }
-    const exp::JsonValue *by_class = value.find("class_serviced");
-    if (by_class == nullptr)
-        return fail(error, "missing member 'class_serviced'");
-    for (std::size_t c = 0; c < kRequestClassCount; ++c) {
-        if (!u64Field(*by_class, toString(static_cast<RequestClass>(c)),
-                      &out->class_serviced[c], error)) {
-            return false;
-        }
-    }
-    return true;
-}
-
-void
-encodeSummary(exp::JsonWriter &w, const std::string &key,
-              const MultiCoreMetrics &summary)
-{
-    w.beginObject(key);
-    w.beginArray("speedups");
-    for (const double s : summary.speedups)
-        w.element(s);
-    w.endArray();
-    w.member("ws", summary.ws);
-    w.member("hs", summary.hs);
-    w.member("uf", summary.uf);
-    w.endObject();
-}
-
-bool
-decodeSummary(const exp::JsonValue &value, MultiCoreMetrics *out,
-              std::string *error)
-{
-    const exp::JsonValue *speedups = value.find("speedups");
-    if (speedups == nullptr || !speedups->isArray())
-        return fail(error, "missing array member 'speedups'");
-    if (speedups->array.size() > memctrl::kMaxCores)
-        return fail(error, "implausible speedup count");
-    out->speedups.clear();
-    for (const exp::JsonValue &s : speedups->array) {
-        if (!s.isNumber())
-            return fail(error, "non-number speedup element");
-        out->speedups.push_back(s.number);
-    }
-    return getDouble(value, "ws", &out->ws, error) &&
-           getDouble(value, "hs", &out->hs, error) &&
-           getDouble(value, "uf", &out->uf, error);
 }
 
 constexpr char kHelloTag[] = "padc-worker-hello-v1";
@@ -719,36 +389,14 @@ void
 encodePoint(exp::JsonWriter &writer, const std::string &key,
             const SweepPoint &point)
 {
-    writer.beginObject(key);
-    encodeConfig(writer, "config", point.config);
-    writer.beginArray("mix");
-    for (const std::string &profile : point.mix)
-        writer.element(profile);
-    writer.endArray();
-    encodeOptions(writer, "options", point.options);
-    writer.endObject();
+    encodeMember(writer, key, point);
 }
 
 bool
 decodePoint(const exp::JsonValue &value, SweepPoint *out,
             std::string *error)
 {
-    const exp::JsonValue *config = nullptr;
-    const exp::JsonValue *options = nullptr;
-    if (!getObject(value, "config", &config, error) ||
-        !decodeConfig(*config, &out->config, error))
-        return false;
-    const exp::JsonValue *mix = value.find("mix");
-    if (mix == nullptr || !mix->isArray())
-        return fail(error, "missing array member 'mix'");
-    out->mix.clear();
-    for (const exp::JsonValue &profile : mix->array) {
-        if (!profile.isString())
-            return fail(error, "non-string mix element");
-        out->mix.push_back(profile.string);
-    }
-    return getObject(value, "options", &options, error) &&
-           decodeOptions(*options, &out->options, error);
+    return decodeFields(value, *out, "", error);
 }
 
 std::string
@@ -770,10 +418,10 @@ encodeTask(const WireTask &task)
     writer.member("kind", kindName(task.kind));
     writer.member("index", u64s(task.index));
     writer.member("attempt", u64s(task.attempt));
-    encodePoint(writer, "point", task.point);
+    encodeMember(writer, "point", task.point);
     if (task.kind == WireTask::Kind::Eval) {
-        encodeConfig(writer, "alone_config", task.alone_base);
-        encodeOptions(writer, "alone_options", task.alone_options);
+        encodeMember(writer, "alone_config", task.alone_base);
+        encodeMember(writer, "alone_options", task.alone_options);
     }
     writer.endObject();
     return writer.str();
@@ -789,11 +437,10 @@ encodeResult(const WireResult &result)
     writer.member("index", u64s(result.index));
     if (result.kind == WireTask::Kind::Eval) {
         encodeOutcome(writer, result.eval.outcome);
-        encodeMetrics(writer, "metrics", result.eval.value.metrics);
-        encodeSummary(writer, "summary", result.eval.value.summary);
+        encodeFields(writer, result.eval.value); // metrics, summary
     } else {
         encodeOutcome(writer, result.run.outcome);
-        encodeMetrics(writer, "metrics", result.run.value);
+        encodeMember(writer, "metrics", result.run.value);
     }
     // Append-only extension (see WireWorkerReport): old supervisors
     // decode by member name and skip this object entirely.
@@ -850,25 +497,17 @@ decodeTask(const std::string &payload, WireTask *out, std::string *error)
     exp::JsonValue root;
     if (!parseTagged(payload, kTaskTag, &root, error))
         return false;
-    const exp::JsonValue *point = nullptr;
     if (!decodeKind(root, &out->kind, error) ||
-        !getU64(root, "index", &out->index, error) ||
-        !u64Field(root, "attempt", &out->attempt, error) ||
-        !getObject(root, "point", &point, error) ||
-        !decodePoint(*point, &out->point, error)) {
+        !decodeMember(root, "index", out->index, "", error) ||
+        !decodeMember(root, "attempt", out->attempt, "", error) ||
+        !decodeMember(root, "point", out->point, "", error)) {
         return false;
     }
-    if (out->kind == WireTask::Kind::Eval) {
-        const exp::JsonValue *alone_config = nullptr;
-        const exp::JsonValue *alone_options = nullptr;
-        if (!getObject(root, "alone_config", &alone_config, error) ||
-            !decodeConfig(*alone_config, &out->alone_base, error) ||
-            !getObject(root, "alone_options", &alone_options, error) ||
-            !decodeOptions(*alone_options, &out->alone_options, error)) {
-            return false;
-        }
-    }
-    return true;
+    return out->kind != WireTask::Kind::Eval ||
+           (decodeMember(root, "alone_config", out->alone_base, "",
+                         error) &&
+            decodeMember(root, "alone_options", out->alone_options, "",
+                         error));
 }
 
 bool
@@ -889,7 +528,7 @@ decodeResult(const std::string &payload, WireResult *out,
         return fail(error, "unexpected payload tag '" + tag + "'");
     out->hello = false;
     if (!decodeKind(root, &out->kind, error) ||
-        !getU64(root, "index", &out->index, error))
+        !decodeMember(root, "index", out->index, "", error))
         return false;
     // Optional worker self-report: absent from old workers, and a
     // malformed one is dropped rather than failing the whole result
@@ -899,29 +538,22 @@ decodeResult(const std::string &payload, WireResult *out,
         worker != nullptr && worker->isObject()) {
         WireWorkerReport report;
         std::string ignored;
-        if (getU64(*worker, "pid", &report.pid, &ignored) &&
-            getU64(*worker, "tasks", &report.tasks, &ignored) &&
-            getU64(*worker, "sim_cycles", &report.sim_cycles,
-                   &ignored) &&
-            getDouble(*worker, "exec_seconds", &report.exec_seconds,
-                      &ignored)) {
+        if (decodeMember(*worker, "pid", report.pid, "", &ignored) &&
+            decodeMember(*worker, "tasks", report.tasks, "", &ignored) &&
+            decodeMember(*worker, "sim_cycles", report.sim_cycles, "",
+                         &ignored) &&
+            decodeMember(*worker, "exec_seconds", report.exec_seconds,
+                         "", &ignored)) {
             report.present = true;
             out->worker = report;
         }
     }
-    const exp::JsonValue *metrics = nullptr;
     if (out->kind == WireTask::Kind::Eval) {
-        const exp::JsonValue *summary = nullptr;
         return decodeOutcome(root, &out->eval.outcome, error) &&
-               getObject(root, "metrics", &metrics, error) &&
-               decodeMetrics(*metrics, &out->eval.value.metrics,
-                             error) &&
-               getObject(root, "summary", &summary, error) &&
-               decodeSummary(*summary, &out->eval.value.summary, error);
+               decodeFields(root, out->eval.value, "", error);
     }
     return decodeOutcome(root, &out->run.outcome, error) &&
-           getObject(root, "metrics", &metrics, error) &&
-           decodeMetrics(*metrics, &out->run.value, error);
+           decodeMember(root, "metrics", out->run.value, "", error);
 }
 
 // --- fault injection --------------------------------------------------

@@ -23,6 +23,10 @@
  *  - enums travel as their underlying integer value; both ends run the
  *    same binary (the supervisor execs /proc/self/exe), so the values
  *    always agree.
+ *  - points and metrics are walked through the field table of
+ *    sim/fields.hh: member names are the table's names, and the
+ *    decoder rejects a missing member or an integer that does not fit
+ *    its field's type, naming the member's dotted path in the error.
  *
  * The deterministic fault-injection hook lives here too:
  * PADC_FAULT_INJECT=crash:<every>|hang:<every>|exit:<code>:<every>

@@ -93,19 +93,6 @@ toString(TraceFormat format)
 }
 
 std::uint64_t
-fnv1a(const void *data, std::size_t size, std::uint64_t seed)
-{
-    constexpr std::uint64_t kPrime = 1099511628211ULL;
-    const auto *bytes = static_cast<const unsigned char *>(data);
-    std::uint64_t hash = seed;
-    for (std::size_t i = 0; i < size; ++i) {
-        hash ^= bytes[i];
-        hash *= kPrime;
-    }
-    return hash;
-}
-
-std::uint64_t
 zigzag(std::int64_t value)
 {
     return (static_cast<std::uint64_t>(value) << 1) ^
@@ -345,7 +332,8 @@ readV2Index(std::FILE *file, const std::string &path,
     if (std::fread(checksum_buf, 1, 8, file) != 8)
         return fail(error, "'" + path + "' has a truncated block index");
     const std::uint64_t stored = getU64(checksum_buf);
-    const std::uint64_t computed = fnv1a(raw.data(), raw.size());
+    const std::uint64_t computed =
+        fnv1a(raw.data(), raw.size(), kFnvTruncatedOffset);
     if (stored != computed) {
         return fail(error, "'" + path + "' block-index checksum "
                                         "mismatch: corrupt index");
@@ -407,7 +395,8 @@ readV2BlockAt(std::FILE *file, const std::string &path,
         payload_size) {
         return fail(error, where + " is truncated inside its payload");
     }
-    if (fnv1a(payload.data(), payload.size()) != stored_checksum)
+    if (fnv1a(payload.data(), payload.size(), kFnvTruncatedOffset) !=
+        stored_checksum)
         return fail(error, where + " fails its checksum: corrupt");
     if (payload_checksum != nullptr) {
         *payload_checksum =
@@ -426,8 +415,6 @@ readV2BlockAt(std::FILE *file, const std::string &path,
     return true;
 }
 
-constexpr std::uint64_t kFnvSeed = 1469598103934665603ULL;
-
 /**
  * Walk every block of an open v2 file, checking all structural
  * invariants (index agreement, op totals, whole-file checksum).
@@ -444,7 +431,7 @@ walkV2(std::FILE *file, const std::string &path, const V2Header &header,
     std::vector<core::TraceOp> scratch;
     std::uint64_t offset = header.header_size;
     std::uint64_t ops_seen = 0;
-    std::uint64_t checksum = kFnvSeed;
+    std::uint64_t checksum = kFnvTruncatedOffset;
 
     // Footprint accounting: open-addressed set of line addresses.
     std::vector<std::uint64_t> lines;
@@ -582,7 +569,7 @@ struct TraceWriter::Impl
     std::vector<unsigned char> payload;
     std::vector<IndexEntry> index;
     std::uint64_t op_count = 0;
-    std::uint64_t checksum = kFnvSeed;
+    std::uint64_t checksum = kFnvTruncatedOffset;
     std::string error;
 
     bool
@@ -598,7 +585,8 @@ struct TraceWriter::Impl
         unsigned char bh[kBlockHeaderSize];
         putU32(bh, static_cast<std::uint32_t>(payload.size()));
         putU32(bh + 4, static_cast<std::uint32_t>(block.size()));
-        putU64(bh + 8, fnv1a(payload.data(), payload.size()));
+        putU64(bh + 8, fnv1a(payload.data(), payload.size(),
+                             kFnvTruncatedOffset));
         if (!file.write(bh, sizeof(bh)) ||
             !file.write(payload.data(), payload.size()))
             return false;
@@ -667,7 +655,8 @@ TraceWriter::close(std::string *error)
         putU64(raw.data() + 8 + b * 16 + 8, impl.index[b].first_op);
     }
     unsigned char index_checksum[8];
-    putU64(index_checksum, fnv1a(raw.data(), raw.size()));
+    putU64(index_checksum,
+           fnv1a(raw.data(), raw.size(), kFnvTruncatedOffset));
 
     unsigned char header[kHeaderSize];
     std::memcpy(header, kMagicV2, 8);
@@ -907,7 +896,7 @@ verifyTraceFile(const std::string &path, TraceFileInfo *info,
         std::vector<core::TraceOp> ops;
         if (!core::readTraceFile(path, &ops, error))
             return false;
-        std::uint64_t checksum = kFnvSeed;
+        std::uint64_t checksum = kFnvTruncatedOffset;
         std::vector<std::uint64_t> lines;
         for (const core::TraceOp &op : ops) {
             unsigned char record[kV1RecordSize];

@@ -39,6 +39,9 @@
  *   The file ends exactly at the end of the index; extra bytes are
  *   rejected as trailing garbage.
  *
+ *   Every checksum is fnv1a (common/fnv.hh) seeded with
+ *   kFnvTruncatedOffset.
+ *
  * ## Per-op payload encoding
  *
  * Delta state (prev_addr, prev_pc) resets to 0 at each block start, so
@@ -63,6 +66,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fnv.hh"
 #include "core/trace.hh"
 
 namespace padc::trace
@@ -80,10 +84,6 @@ const char *toString(TraceFormat format);
 
 /** Default operations per PADCTRC2 block. */
 constexpr std::uint32_t kDefaultBlockOps = 4096;
-
-/** 64-bit FNV-1a (offset-basis seed when chaining). */
-std::uint64_t fnv1a(const void *data, std::size_t size,
-                    std::uint64_t seed = 1469598103934665603ULL);
 
 /** Cheaply probed facts about a trace file (header + index only). */
 struct TraceFileInfo

@@ -132,6 +132,43 @@ TEST(SweepPointKey, DistinguishesConfigMixSeedAndOptions)
     EXPECT_EQ(sweepPointKey(point), key);
 }
 
+TEST(SweepPointKey, GoldenKeysOfEveryBaselineAndPolicy)
+{
+    // Keys of applyPolicy(baseline(n), setup) with an empty mix and
+    // default options. Journals and BENCH files persist these values,
+    // so any change here breaks --resume and every recorded digest.
+    constexpr std::uint32_t kCores[] = {1, 2, 4, 8};
+    constexpr int kSetups = static_cast<int>(PolicySetup::ApdOnly) + 1;
+    constexpr std::uint64_t kGolden[4][kSetups] = {
+        {0x3d53a8fd56375094, 0xa06bfe17e4d589c8, 0x1d0fd33d056a5f2d,
+         0x9d53e15e89805be3, 0xd38441936797d03e, 0x1c728b19090dad83,
+         0x721cf417b10a4c3e, 0x71b51dab5406c8a3, 0x2274f1b250d12b1e,
+         0x27acfdfcfd03574d},
+        {0xc6f4aa405f88f49b, 0x095a6192e2fd534f, 0x4a5dc1aa2349fa8a,
+         0xb23faa2fb613bde4, 0x020124a97fca71f9, 0x8cf826c524329944,
+         0x636872253657f5f9, 0x510bcdd9412d3224, 0x0401a0b29c3f3b19,
+         0xbbb89c1b1ab8d96a},
+        {0xdf74a9d73eee1619, 0x7d443cbf68d33625, 0x514f77982d5c0520,
+         0xeeb727ebd201c216, 0x98a119eeb2ffa3bb, 0x88011f266d1e3cf6,
+         0xfa08676a698d27bb, 0x7b1ba773294b44d6, 0x550dd532c81d405b,
+         0x69e1e47d589a7d80},
+        {0xb19a4bf31097cf02, 0xd82097fae8a1c3de, 0x6690a734e26892d7,
+         0x112a8f9f9cd32445, 0xd579811bb559173c, 0x56934177bbec7da5,
+         0x36e0ce976be69b3c, 0x040aad4bcb167505, 0xf347655bfe5f4fdc,
+         0x9c81da6559297f37},
+    };
+    for (std::size_t i = 0; i < 4; ++i) {
+        for (int s = 0; s < kSetups; ++s) {
+            const auto setup = static_cast<PolicySetup>(s);
+            const SweepPoint point{
+                applyPolicy(SystemConfig::baseline(kCores[i]), setup), {},
+                {}};
+            EXPECT_EQ(sweepPointKey(point), kGolden[i][s])
+                << kCores[i] << " cores, " << policyLabel(setup);
+        }
+    }
+}
+
 TEST_F(JournalTest, RecordedEvalPointsReplayBitIdentical)
 {
     const auto points = twoPolicyPoints();

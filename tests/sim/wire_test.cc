@@ -2,8 +2,10 @@
  * @file
  * Tests for the process-pool wire protocol: frame I/O over real pipes,
  * incremental frame reassembly (FrameBuffer), task/result/point
- * round-trips (bit-exact doubles, full-width u64s, every keyed config
- * field), and the PADC_FAULT_INJECT parser + schedule.
+ * round-trips (bit-exact doubles, full-width u64s), a walk over every
+ * field-table leaf (key coverage, wire and journal round trips, named
+ * errors for missing members), range-checked integer decoding, a golden
+ * task frame, and the PADC_FAULT_INJECT parser + schedule.
  */
 
 #include "sim/wire.hh"
@@ -11,12 +13,19 @@
 #include <unistd.h>
 
 #include <cmath>
+#include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <sstream>
 #include <string>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "exp/json.hh"
+#include "sim/fields.hh"
 #include "sim/journal.hh"
 
 namespace padc::sim::wire
@@ -55,6 +64,237 @@ encodePointDoc(const SweepPoint &point)
     return writer.str();
 }
 
+/** A metrics result whose every leaf is set and distinct. */
+Result<MixEvaluation>
+fancyEval()
+{
+    Result<MixEvaluation> r;
+    r.outcome.status = PointStatus::Truncated;
+    r.outcome.detail = "cycle cap";
+    double v = 0.1;
+    std::uint64_t n = (1ULL << 54) + 1; // past 2^53: no double round trip
+    for (int c = 0; c < 2; ++c) {
+        CoreMetrics core;
+        core.ipc = v += 0.37;
+        core.mpki = v += 1.1;
+        core.spl = std::nextafter(v += 2.3, 100.0);
+        core.acc = 1.0 / (3 + c);
+        core.cov = v / 7;
+        core.rbh = 0.5 + c;
+        core.rbhu = 1e-300;
+        core.traffic_demand = n++;
+        core.traffic_pref_useful = n++;
+        core.traffic_pref_useless = n++;
+        core.traffic_writeback = n++;
+        core.instructions = n++;
+        core.cycles = n++;
+        r.value.metrics.cores.push_back(core);
+    }
+    for (std::uint64_t &serviced : r.value.metrics.class_serviced)
+        serviced = n++;
+    r.value.summary.speedups = {0.1 + 0.2, 2.0 / 3};
+    r.value.summary.ws = 1.75;
+    r.value.summary.hs = 0.123456789;
+    r.value.summary.uf = 2.5;
+    return r;
+}
+
+/**
+ * JSON path of one leaf as the wire decoder names it: member names,
+ * with "[i]" stepping into the i-th element of an array of objects.
+ */
+using LeafPath = std::vector<std::string>;
+
+/** @p path the way decode errors print it ("metrics.cores[1].ipc"). */
+std::string
+dotted(const LeafPath &path)
+{
+    std::string out;
+    for (const std::string &part : path) {
+        if (!out.empty() && part[0] != '[')
+            out += '.';
+        out += part;
+    }
+    return out;
+}
+
+/**
+ * Call fn(path, leaf) for every leaf of a tabled value: each scalar
+ * member, each element of a fixed or per-class array, each member of
+ * each element of a vector of structs, and each vector of scalars
+ * (mix, speedups) as a whole.
+ */
+template <typename T, typename Fn>
+void
+forEachLeaf(T &value, LeafPath &path, Fn &fn)
+{
+    if constexpr (Tabled<T>) {
+        forEachField(value, [&](const char *name, auto &&field) {
+            path.push_back(name);
+            forEachLeaf(field, path, fn);
+            path.pop_back();
+        });
+    } else if constexpr (kIsVector<T>) {
+        if constexpr (Tabled<typename T::value_type>) {
+            for (std::size_t i = 0; i < value.size(); ++i) {
+                path.push_back("[" + std::to_string(i) + "]");
+                forEachLeaf(value[i], path, fn);
+                path.pop_back();
+            }
+        } else {
+            fn(path, value);
+        }
+    } else if constexpr (kIsArray<T>) {
+        const std::string name = path.back();
+        for (std::size_t i = 0; i < value.size(); ++i) {
+            path.back() = name + "_" + std::to_string(i);
+            fn(path, value[i]);
+        }
+        path.back() = name;
+    } else if constexpr (kIsPerClass<T>) {
+        std::size_t c = 0;
+        for (auto &count : value) {
+            path.push_back(toString(static_cast<RequestClass>(c++)));
+            fn(path, count);
+            path.pop_back();
+        }
+    } else {
+        fn(path, value);
+    }
+}
+
+template <typename T>
+std::size_t
+leafCount(T value)
+{
+    std::size_t n = 0;
+    LeafPath path;
+    auto count = [&](const LeafPath &, auto &) { ++n; };
+    forEachLeaf(value, path, count);
+    return n;
+}
+
+/** Change one leaf so that it encodes differently. */
+template <typename L>
+void
+perturb(L &leaf)
+{
+    if constexpr (std::is_same_v<L, bool>) {
+        leaf = !leaf;
+    } else if constexpr (std::is_same_v<L, double>) {
+        leaf = leaf * 2 + 0.0625;
+    } else if constexpr (std::is_same_v<L, std::string>) {
+        leaf += "_x";
+    } else if constexpr (kIsVector<L>) {
+        perturb(leaf.at(0));
+    } else if constexpr (std::is_enum_v<L>) {
+        leaf = static_cast<L>(static_cast<int>(leaf) + 1);
+    } else {
+        leaf = static_cast<L>(leaf + 1);
+    }
+}
+
+/** Perturb the @p k-th leaf of @p value. @return that leaf's path. */
+template <typename T>
+LeafPath
+perturbLeaf(T &value, std::size_t k)
+{
+    LeafPath path;
+    LeafPath hit;
+    std::size_t i = 0;
+    auto visit = [&](const LeafPath &at, auto &leaf) {
+        if (i++ == k) {
+            perturb(leaf);
+            hit = at;
+        }
+    };
+    forEachLeaf(value, path, visit);
+    return hit;
+}
+
+/** The bit pattern of every metrics leaf, for bit-exact comparison. */
+template <typename T>
+std::vector<std::uint64_t>
+leafBits(T value)
+{
+    std::vector<std::uint64_t> bits;
+    const auto push = [&](double d) {
+        std::uint64_t b = 0;
+        std::memcpy(&b, &d, sizeof(b));
+        bits.push_back(b);
+    };
+    LeafPath path;
+    auto visit = [&](const LeafPath &, auto &leaf) {
+        using L = std::remove_reference_t<decltype(leaf)>;
+        if constexpr (std::is_same_v<L, double>) {
+            push(leaf);
+        } else if constexpr (kIsVector<L>) {
+            bits.push_back(leaf.size());
+            for (const double d : leaf)
+                push(d);
+        } else {
+            bits.push_back(static_cast<std::uint64_t>(leaf));
+        }
+    };
+    forEachLeaf(value, path, visit);
+    return bits;
+}
+
+/** Remove the member at @p path below @p root. */
+void
+eraseMember(exp::JsonValue &root, const LeafPath &path)
+{
+    exp::JsonValue *at = &root;
+    for (std::size_t i = 0; i + 1 < path.size(); ++i) {
+        at = path[i][0] == '['
+                 ? &at->array.at(std::stoul(path[i].substr(1)))
+                 : &at->object.at(path[i]);
+    }
+    EXPECT_EQ(at->object.erase(path.back()), 1u) << dotted(path);
+}
+
+/** Write a parsed document back out (objects, arrays, scalars). */
+void
+reEmitValue(exp::JsonWriter &w, const std::string *key,
+            const exp::JsonValue &v)
+{
+    using Kind = exp::JsonValue::Kind;
+    switch (v.kind) {
+      case Kind::Object:
+        key != nullptr ? w.beginObject(*key) : w.beginObject();
+        for (const auto &[name, member] : v.object)
+            reEmitValue(w, &name, member);
+        w.endObject();
+        return;
+      case Kind::Array:
+        w.beginArray(*key);
+        for (const exp::JsonValue &element : v.array)
+            reEmitValue(w, nullptr, element);
+        w.endArray();
+        return;
+      case Kind::String:
+        key != nullptr ? w.member(*key, v.string) : w.element(v.string);
+        return;
+      case Kind::Number:
+        key != nullptr ? w.member(*key, v.number) : w.element(v.number);
+        return;
+      case Kind::Bool:
+        w.member(*key, v.boolean);
+        return;
+      case Kind::Null:
+        ADD_FAILURE() << "null in a wire document";
+        return;
+    }
+}
+
+std::string
+reEmit(const exp::JsonValue &doc)
+{
+    exp::JsonWriter writer;
+    reEmitValue(writer, nullptr, doc);
+    return writer.str();
+}
+
 TEST(WirePoint, RoundTripsEveryKeyedField)
 {
     const SweepPoint point = fancyPoint();
@@ -78,39 +318,147 @@ TEST(WirePoint, RoundTripsEveryKeyedField)
 
 TEST(WirePoint, KeyedFieldChangesSurviveTheWire)
 {
-    // Mutate a representative field per layer and check the decoded
-    // point keys differently from the unmutated one: a silently dropped
-    // field would collapse both onto the same key.
+    // Perturb every leaf of the field table, one at a time. Each must
+    // move the key (a field left out of the key would alias two configs
+    // onto one journal entry) and must survive the wire (a field the
+    // decoder skipped would come back with the base value and key).
     const SweepPoint base = fancyPoint();
     const std::uint64_t base_key = sweepPointKey(base);
-    const auto reKey = [](const SweepPoint &p) {
+    const std::size_t leaves = leafCount(base);
+    EXPECT_GT(leaves, 80u);
+    for (std::size_t k = 0; k < leaves; ++k) {
+        SweepPoint p = base;
+        SCOPED_TRACE(dotted(perturbLeaf(p, k)));
+        const std::uint64_t key = sweepPointKey(p);
+        EXPECT_NE(key, base_key);
+
         exp::JsonValue parsed;
         std::string error;
         SweepPoint decoded;
-        EXPECT_TRUE(exp::parseJson(encodePointDoc(p), &parsed, &error));
-        EXPECT_TRUE(
-            decodePoint(*parsed.find("point"), &decoded, &error));
-        return sweepPointKey(decoded);
+        ASSERT_TRUE(exp::parseJson(encodePointDoc(p), &parsed, &error))
+            << error;
+        ASSERT_TRUE(decodePoint(*parsed.find("point"), &decoded, &error))
+            << error;
+        EXPECT_EQ(sweepPointKey(decoded), key);
+    }
+}
+
+TEST(WirePoint, EveryMissingMemberFailsAndIsNamed)
+{
+    const SweepPoint point = fancyPoint();
+    exp::JsonValue doc;
+    ASSERT_TRUE(exp::parseJson(encodePointDoc(point), &doc, nullptr));
+    const std::size_t leaves = leafCount(point);
+    for (std::size_t k = 0; k < leaves; ++k) {
+        SweepPoint copy = point;
+        const LeafPath path = perturbLeaf(copy, k);
+        SCOPED_TRACE(dotted(path));
+        exp::JsonValue broken = doc;
+        eraseMember(broken.object.at("point"), path);
+        SweepPoint decoded;
+        std::string error;
+        EXPECT_FALSE(
+            decodePoint(broken.object.at("point"), &decoded, &error));
+        EXPECT_NE(error.find("'" + dotted(path) + "'"), std::string::npos)
+            << error;
+    }
+}
+
+TEST(WirePoint, OutOfRangeIntegersAreRejectedNotTruncated)
+{
+    exp::JsonValue doc;
+    ASSERT_TRUE(exp::parseJson(encodePointDoc(fancyPoint()), &doc, nullptr));
+    exp::JsonValue &config = doc.object.at("point").object.at("config");
+    const auto decodeWith = [&](exp::JsonValue &member, const char *text,
+                                std::string *error) {
+        const std::string saved = member.string;
+        member.string = text;
+        SweepPoint decoded;
+        const bool ok =
+            decodePoint(doc.object.at("point"), &decoded, error);
+        member.string = saved;
+        return std::make_pair(ok, decoded);
     };
 
-    SweepPoint p = base;
-    p.config.prefetcher.distance += 1;
-    EXPECT_NE(reKey(p), base_key);
-    p = base;
-    p.config.fdp.accuracy_high += 0.0625;
-    EXPECT_NE(reKey(p), base_key);
-    p = base;
-    p.config.sched.drop_thresholds[2] += 1;
-    EXPECT_NE(reKey(p), base_key);
-    p = base;
-    p.config.dram.timing.tRFC += 1;
-    EXPECT_NE(reKey(p), base_key);
-    p = base;
-    p.options.mix_seed += 1;
-    EXPECT_NE(reKey(p), base_key);
-    p = base;
-    p.mix = {"libquantum_06", "mcf_06"};
-    EXPECT_NE(reKey(p), base_key);
+    // DdpfConfig::threshold is a uint8_t: 258 must not wrap to 2.
+    exp::JsonValue &threshold =
+        config.object.at("ddpf").object.at("threshold");
+    std::string error;
+    EXPECT_FALSE(decodeWith(threshold, "258", &error).first);
+    EXPECT_NE(error.find("'config.ddpf.threshold'"), std::string::npos)
+        << error;
+    const auto [ok, decoded] = decodeWith(threshold, "255", &error);
+    EXPECT_TRUE(ok) << error;
+    EXPECT_EQ(decoded.config.ddpf.threshold, 255u);
+
+    // num_cores is a uint32_t: 2^32 + 4 must not wrap to 4.
+    EXPECT_FALSE(decodeWith(config.object.at("num_cores"), "4294967300",
+                            &error)
+                     .first);
+    EXPECT_NE(error.find("'config.num_cores'"), std::string::npos)
+        << error;
+
+    // Enums are range-checked against their underlying type.
+    EXPECT_FALSE(decodeWith(config.object.at("sched").object.at("kind"),
+                            "256", &error)
+                     .first);
+    EXPECT_NE(error.find("'config.sched.kind'"), std::string::npos)
+        << error;
+
+    // The task envelope's uint32_t attempt is checked the same way.
+    WireTask task;
+    task.point = fancyPoint();
+    exp::JsonValue frame;
+    ASSERT_TRUE(exp::parseJson(encodeTask(task), &frame, nullptr));
+    frame.object.at("attempt").string = "4294967296";
+    WireTask back;
+    EXPECT_FALSE(decodeTask(reEmit(frame), &back, &error));
+    EXPECT_NE(error.find("'attempt'"), std::string::npos) << error;
+}
+
+/** A checked-in golden frame, without the file's trailing newline. */
+std::string
+readGolden(const std::string &name)
+{
+    const std::string path = std::string(PADC_WIRE_GOLDEN_DIR) + "/" + name;
+    std::ifstream in(path);
+    EXPECT_TRUE(in) << path;
+    std::stringstream buffer;
+    buffer << in.rdbuf();
+    std::string golden = buffer.str();
+    if (!golden.empty() && golden.back() == '\n')
+        golden.pop_back();
+    return golden;
+}
+
+TEST(WireGolden, FancyFramesAreByteStable)
+{
+    // The frames are pinned byte for byte: a change to the wire format
+    // must be deliberate and bump the payload tags (padc-worker-*-v1).
+    WireTask task;
+    task.kind = WireTask::Kind::Eval;
+    task.index = 7;
+    task.attempt = 1;
+    task.point = fancyPoint();
+    task.alone_base = SystemConfig::baseline(2);
+    task.alone_options.instructions = 4321;
+    const std::string task_frame = readGolden("fancy_eval_task.json");
+    EXPECT_EQ(encodeTask(task), task_frame);
+    WireTask decoded_task;
+    std::string error;
+    ASSERT_TRUE(decodeTask(task_frame, &decoded_task, &error)) << error;
+    EXPECT_EQ(encodeTask(decoded_task), task_frame);
+
+    WireResult result;
+    result.kind = WireTask::Kind::Eval;
+    result.index = 3;
+    result.eval = fancyEval();
+    const std::string result_frame = readGolden("fancy_eval_result.json");
+    EXPECT_EQ(encodeResult(result), result_frame);
+    WireResult decoded_result;
+    ASSERT_TRUE(decodeResult(result_frame, &decoded_result, &error))
+        << error;
+    EXPECT_EQ(encodeResult(decoded_result), result_frame);
 }
 
 TEST(WireTaskCodec, RunAndEvalTasksRoundTrip)
@@ -201,6 +549,86 @@ TEST(WireResultCodec, EvalResultCarriesSummaryAndHelloDecodes)
 
     EXPECT_FALSE(decodeResult("[]", &decoded, &error));
     EXPECT_FALSE(error.empty());
+}
+
+TEST(WireResultCodec, EveryMetricsFieldSurvivesTheWireAndTheJournal)
+{
+    // Perturb every metrics leaf, one at a time; the wire and the
+    // journal must both hand back the exact bits.
+    const Result<MixEvaluation> base = fancyEval();
+    const std::size_t leaves = leafCount(base.value);
+    EXPECT_GT(leaves, 30u);
+    const std::string path = ::testing::TempDir() + "padc_wire_test." +
+                             std::to_string(::getpid()) + ".padcjournal";
+    std::remove(path.c_str());
+    std::vector<Result<MixEvaluation>> perturbed;
+    {
+        SweepJournal journal(path);
+        for (std::size_t k = 0; k < leaves; ++k) {
+            Result<MixEvaluation> r = base;
+            SCOPED_TRACE(dotted(perturbLeaf(r.value, k)));
+            EXPECT_NE(leafBits(r.value), leafBits(base.value));
+
+            WireResult result;
+            result.kind = WireTask::Kind::Eval;
+            result.eval = r;
+            WireResult decoded;
+            std::string error;
+            ASSERT_TRUE(
+                decodeResult(encodeResult(result), &decoded, &error))
+                << error;
+            EXPECT_EQ(leafBits(decoded.eval.value), leafBits(r.value));
+
+            journal.record(k, r);
+            perturbed.push_back(r);
+        }
+    }
+    SweepJournal reopened(path);
+    for (std::size_t k = 0; k < leaves; ++k) {
+        Result<MixEvaluation> loaded;
+        ASSERT_TRUE(reopened.lookup(k, &loaded)) << k;
+        EXPECT_EQ(leafBits(loaded.value), leafBits(perturbed[k].value))
+            << k;
+        EXPECT_EQ(loaded.outcome.detail, base.outcome.detail);
+    }
+    std::remove(path.c_str());
+}
+
+TEST(WireResultCodec, EveryMissingMetricsMemberFailsAndIsNamed)
+{
+    WireResult result;
+    result.kind = WireTask::Kind::Eval;
+    result.eval = fancyEval();
+    exp::JsonValue doc;
+    ASSERT_TRUE(exp::parseJson(encodeResult(result), &doc, nullptr));
+    const std::size_t leaves = leafCount(result.eval.value);
+    for (std::size_t k = 0; k < leaves; ++k) {
+        Result<MixEvaluation> copy = result.eval;
+        const LeafPath path = perturbLeaf(copy.value, k);
+        SCOPED_TRACE(dotted(path));
+        exp::JsonValue broken = doc;
+        eraseMember(broken, path);
+        WireResult decoded;
+        std::string error;
+        EXPECT_FALSE(decodeResult(reEmit(broken), &decoded, &error));
+        EXPECT_NE(error.find("'" + dotted(path) + "'"), std::string::npos)
+            << error;
+    }
+}
+
+TEST(FieldTable, MemberCountsSeeEveryMember)
+{
+    // The compile-time check in forEachField compares these counts with
+    // the table sizes; they must count arrays, vectors and pointers as
+    // one member each.
+    static_assert(detail::memberCount<memctrl::SchedulerConfig>() == 15);
+    static_assert(detail::memberCount<dram::TimingParams>() == 17);
+    static_assert(detail::memberCount<CoreMetrics>() == 13);
+    static_assert(detail::memberCount<SystemConfig>() == 16);
+    static_assert(detail::memberCount<SweepPoint>() == 3);
+    static_assert(detail::memberCount<MultiCoreMetrics>() == 4);
+    static_assert(detail::tabledCount<FieldTable<SystemConfig>>() == 16);
+    SUCCEED();
 }
 
 TEST(WireFrames, RoundTripOverAPipe)
