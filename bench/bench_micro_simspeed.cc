@@ -266,7 +266,7 @@ BM_ScheduleRead(benchmark::State &state)
 {
     scheduleReadAtDepth(state, false);
 }
-BENCHMARK(BM_ScheduleRead)->Arg(4)->Arg(32)->Arg(128);
+BENCHMARK(BM_ScheduleRead)->Arg(4)->Arg(32)->Arg(72)->Arg(128);
 
 /** Seed implementation baseline: the naive O(queue) scan scheduler. */
 void
@@ -274,7 +274,7 @@ BM_ScheduleReadReference(benchmark::State &state)
 {
     scheduleReadAtDepth(state, true);
 }
-BENCHMARK(BM_ScheduleReadReference)->Arg(4)->Arg(32)->Arg(128);
+BENCHMARK(BM_ScheduleReadReference)->Arg(4)->Arg(32)->Arg(72)->Arg(128);
 
 /**
  * Same scheduling loop with a request trace attached in count-only mode

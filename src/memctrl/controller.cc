@@ -31,6 +31,9 @@ MemoryController::trackEnqueued(std::uint32_t slot)
     Request &req = pool_.at(slot);
     assert(req.core < num_cores_);
     BankShard &shard = shards_[req.coord.bank];
+    ShardSummary &summary = shard.summary;
+    const bool was_preferred =
+        !summary.dirty && shardHasPreferred(shard, summary.accurate_mask);
     req.bank_slot = static_cast<std::uint32_t>(shard.queued.size());
     shard.queued.push_back(slot);
     switch (req.cls) {
@@ -51,7 +54,17 @@ MemoryController::trackEnqueued(std::uint32_t slot)
         assert(false && "unsupported class in the read buffer");
         break;
     }
-    ++pending_rows_[rowKey(req.coord)];
+    // A clean summary absorbs the arrival in O(1) unless the arrival
+    // flips the bank's has-preferred state, which re-decides whether
+    // every other queued read is class-blocked.
+    if (!summary.dirty) {
+        const bool has_preferred =
+            shardHasPreferred(shard, summary.accurate_mask);
+        if (has_preferred == was_preferred)
+            foldIntoSummary(summary, slot, has_preferred);
+        else
+            summary.dirty = true;
+    }
     shard.wake = 0; // new arrival: rescan this bank
     occupied_banks_ |= 1ULL << req.coord.bank;
 }
@@ -65,6 +78,7 @@ MemoryController::untrackQueued(Request &req)
     shard.queued[req.bank_slot] = moved;
     pool_.at(moved).bank_slot = req.bank_slot;
     shard.queued.pop_back();
+    shard.summary.dirty = true;
     if (shard.queued.empty())
         occupied_banks_ &= ~(1ULL << req.coord.bank);
     switch (req.cls) {
@@ -81,9 +95,6 @@ MemoryController::untrackQueued(Request &req)
         assert(false && "unsupported class in the read buffer");
         break;
     }
-    auto it = pending_rows_.find(rowKey(req.coord));
-    if (--it->second == 0)
-        pending_rows_.erase(it);
 }
 
 void
@@ -97,12 +108,18 @@ MemoryController::trackPromoted(Request &req)
         if (--shard.pref_by_core[req.core] == 0)
             shard.pref_core_mask &= ~(1ULL << req.core);
         ++shard.queued_demands;
+        shard.summary.dirty = true; // the read's class and key changed
     }
 }
 
 std::uint64_t
 MemoryController::accurateCoreMask() const
 {
+    // Without an accuracy-dependent lattice or ranking no scheduling
+    // input reads the mask; a constant 0 keeps shard summaries valid
+    // across accuracy updates.
+    if (!context_.latticeAccuracyDependent() && !config_.ranking_enabled)
+        return 0;
     std::uint64_t mask = 0;
     for (std::uint32_t c = 0; c < num_cores_; ++c) {
         if (context_.coreAccurate(c))
@@ -117,6 +134,49 @@ MemoryController::shardHasPreferred(const BankShard &shard,
 {
     return context_.shardHasPreferred(shard.queued_demands,
                                       shard.pref_core_mask, accurate_mask);
+}
+
+void
+MemoryController::foldIntoSummary(ShardSummary &summary,
+                                  std::uint32_t slot,
+                                  bool has_preferred) const
+{
+    const bool hit = pool_.rowOf(slot) == summary.row;
+    (hit ? summary.any_hit : summary.any_miss) = true;
+    const RequestClass cls = pool_.classOf(slot);
+    const CoreId core = pool_.coreOf(slot);
+    const bool accurate = ((summary.accurate_mask >> core) & 1) != 0;
+    if (has_preferred && context_.latticeLevelAt(cls, accurate) == 0)
+        return; // class-blocked: wants a command but is no candidate
+    const std::uint64_t key = context_.priorityKeyAt(
+        cls, core, pool_.seqOf(slot), hit, accurate);
+    std::uint32_t &best_slot = hit ? summary.hit_slot : summary.miss_slot;
+    std::uint64_t &best_key = hit ? summary.hit_key : summary.miss_key;
+    if (best_slot == RequestPool::kNone || key > best_key) {
+        best_slot = slot;
+        best_key = key;
+    }
+}
+
+const MemoryController::ShardSummary &
+MemoryController::summaryOf(const BankShard &shard, std::uint64_t open,
+                            std::uint64_t accurate_mask) const
+{
+    ShardSummary &summary = shard.summary;
+    // Refresh and closed-row auto-precharge close banks without touching
+    // the shard; comparing the open row catches them (and every PRE/ACT)
+    // with no hook of their own.
+    if (!summary.dirty && summary.row == open &&
+        summary.accurate_mask == accurate_mask)
+        return summary;
+    summary = ShardSummary{};
+    summary.dirty = false;
+    summary.row = open;
+    summary.accurate_mask = accurate_mask;
+    const bool has_preferred = shardHasPreferred(shard, accurate_mask);
+    for (const std::uint32_t slot : shard.queued)
+        foldIntoSummary(summary, slot, has_preferred);
+    return summary;
 }
 
 Cycle
@@ -244,7 +304,6 @@ MemoryController::enqueueWrite(const dram::DramCoord &coord, Addr line_addr,
     req.seq = next_seq_++;
     write_q_.push_back(req);
     write_index_[line_addr] = std::prev(write_q_.end());
-    ++pending_rows_[rowKey(coord)];
     traceRequest(telemetry::EventKind::EnqueueWrite, write_q_.back(), now);
 }
 
@@ -299,30 +358,27 @@ MemoryController::commandIssuable(const Request &req, NextCmd cmd,
 bool
 MemoryController::pendingSameRow(const Request &req) const
 {
+    const auto same_row = [&req](const Request &other) {
+        return &other != &req && other.coord.bank == req.coord.bank &&
+               other.coord.row == req.coord.row;
+    };
     if (config_.reference_scheduler) {
-        // Golden model: the naive scans, independent of the counters.
+        // Golden model: the naive queue walk, independent of the shards.
         for (std::uint32_t slot = pool_.head(); slot != RequestPool::kNone;
              slot = pool_.next(slot)) {
             const Request &other = pool_.at(slot);
-            if (&other != &req && other.state == RequestState::Queued &&
-                other.coord.bank == req.coord.bank &&
-                other.coord.row == req.coord.row) {
+            if (other.state == RequestState::Queued && same_row(other))
                 return true;
-            }
         }
-        for (const auto &other : write_q_) {
-            if (&other != &req && other.coord.bank == req.coord.bank &&
-                other.coord.row == req.coord.row) {
+    } else {
+        // The bank's shard holds exactly its queued reads (req too, when
+        // req is a read).
+        for (const std::uint32_t slot : shards_[req.coord.bank].queued) {
+            if (same_row(pool_.at(slot)))
                 return true;
-            }
         }
-        return false;
     }
-    // req itself is counted (a queued read or a pending write), so
-    // another request targets the same (bank,row) iff the counter
-    // exceeds one.
-    auto it = pending_rows_.find(rowKey(req.coord));
-    return it != pending_rows_.end() && it->second > 1;
+    return std::any_of(write_q_.begin(), write_q_.end(), same_row);
 }
 
 void
@@ -449,7 +505,7 @@ MemoryController::completeFinished(Cycle now)
             }
             slot = next;
         }
-    } else {
+    } else if (servicing_min_ready_ <= now) {
         // servicing_ is seq-sorted, so same-cycle completions are
         // reported in queue (seq) order, exactly like the queue walk.
         for (std::size_t i = 0; i < servicing_.size();) {
@@ -512,10 +568,7 @@ MemoryController::scheduleRead(Cycle now)
     if (config_.reference_scheduler)
         return scheduleReadReference(now);
 
-    const std::uint64_t accurate_mask =
-        (context_.latticeAccuracyDependent() || config_.ranking_enabled)
-            ? accurateCoreMask()
-            : 0;
+    const std::uint64_t accurate_mask = accurateCoreMask();
 
     if (config_.ranking_enabled) {
         std::array<std::uint32_t, kMaxCores> counts{};
@@ -524,13 +577,16 @@ MemoryController::scheduleRead(Cycle now)
             if ((accurate_mask >> c) & 1)
                 counts[c] += prefs_per_core_[c];
         }
-        context_.updateRanks(counts, num_cores_);
+        if (context_.updateRanks(counts, num_cores_)) {
+            // Cached keys embed their core's old rank.
+            for (BankShard &shard : shards_)
+                shard.summary.dirty = true;
+        }
     }
 
     std::uint32_t best_slot = RequestPool::kNone;
     std::uint64_t best_key = 0;
     NextCmd best_cmd = NextCmd::None;
-    bool best_hit = false;
 
     const Cycle retry = now + channel_.timing().cpu_per_dram_cycle;
     for (std::uint64_t mask = occupied_banks_; mask != 0; mask &= mask - 1) {
@@ -538,74 +594,62 @@ MemoryController::scheduleRead(Cycle now)
         BankShard &shard = shards_[b];
         if (now < shard.wake)
             continue;
-        const bool has_preferred = shardHasPreferred(shard, accurate_mask);
-        Cycle wake = kNeverCycle;
-        bool issuable_here = false;
 
-        // All requests to this bank need one of at most two distinct
-        // commands (Column/Precharge against the open row, or Activate
-        // when closed), and command legality does not depend on which
-        // request wants it -- so resolve the bank state and each
-        // command's legality once per shard, not once per request. The
-        // scan itself reads only the pool's hot columns.
+        // Every queued read to this bank wants its row-hit command
+        // (Column) or its row-miss command (Precharge, or Activate when
+        // the bank is closed), and legality does not depend on which
+        // read wants it. With the best unblocked read per command cached
+        // in the summary, a bank costs at most two legality checks and
+        // two key compares.
         const std::uint64_t open = channel_.openRow(b);
-        const bool bank_open = open != dram::kNoOpenRow;
-        int col_ok = -1; // lazy tri-state: -1 unknown, else 0/1
-        int pre_ok = -1;
-        int act_ok = -1;
-
-        for (const std::uint32_t slot : shard.queued) {
-            NextCmd cmd;
-            bool row_hit = false;
-            bool issuable;
-            if (!bank_open) {
-                cmd = NextCmd::Activate;
-                if (act_ok < 0)
-                    act_ok = channel_.canActivate(b, now) ? 1 : 0;
-                issuable = act_ok != 0;
-            } else if (pool_.rowOf(slot) == open) {
-                cmd = NextCmd::Column;
-                row_hit = true;
-                if (col_ok < 0)
-                    col_ok = channel_.canColumn(b, false, now) ? 1 : 0;
-                issuable = col_ok != 0;
-            } else {
-                cmd = NextCmd::Precharge;
-                if (pre_ok < 0)
-                    pre_ok = channel_.canPrecharge(b, now) ? 1 : 0;
-                issuable = pre_ok != 0;
-            }
-            const RequestClass cls = pool_.classOf(slot);
-            const CoreId core = pool_.coreOf(slot);
-            const bool blocked =
-                has_preferred && context_.latticeLevel(cls, core) == 0;
-            if (!blocked && issuable) {
-                issuable_here = true;
-                const std::uint64_t key = context_.priorityKey(
-                    cls, core, pool_.seqOf(slot), row_hit);
-                if (best_slot == RequestPool::kNone || key > best_key) {
-                    best_slot = slot;
-                    best_key = key;
-                    best_cmd = cmd;
-                    best_hit = row_hit;
-                }
-            } else {
-                // Fold this request's bank-local readiness into the
-                // shard's wake-up hint. A request that is bank-ready but
-                // held back (class blocking or a channel-global
-                // constraint) forces a retry next DRAM cycle, since that
-                // blocking state can change with any issued command.
-                const Cycle local = bankLocalReady(b, cmd);
-                wake = std::min(wake, local <= now ? retry : local);
-            }
+        const ShardSummary &summary = summaryOf(shard, open, accurate_mask);
+        const NextCmd miss_cmd = open == dram::kNoOpenRow
+                                     ? NextCmd::Activate
+                                     : NextCmd::Precharge;
+        const bool hit_ok = summary.hit_slot != RequestPool::kNone &&
+                            channel_.canColumn(b, false, now);
+        const bool miss_ok =
+            summary.miss_slot != RequestPool::kNone &&
+            (miss_cmd == NextCmd::Activate ? channel_.canActivate(b, now)
+                                           : channel_.canPrecharge(b, now));
+        if (hit_ok && (best_slot == RequestPool::kNone ||
+                       summary.hit_key > best_key)) {
+            best_slot = summary.hit_slot;
+            best_key = summary.hit_key;
+            best_cmd = NextCmd::Column;
         }
-        // An issuable-but-not-chosen request must be reconsidered next
-        // cycle; otherwise sleep until the earliest bank-local readiness.
-        shard.wake = issuable_here ? now : wake;
+        if (miss_ok && (best_slot == RequestPool::kNone ||
+                        summary.miss_key > best_key)) {
+            best_slot = summary.miss_slot;
+            best_key = summary.miss_key;
+            best_cmd = miss_cmd;
+        }
+        if (hit_ok || miss_ok) {
+            // An issuable-but-not-chosen read must be reconsidered next
+            // cycle.
+            shard.wake = now;
+            continue;
+        }
+        // Nothing issuable: sleep until the earliest bank-local readiness
+        // of a command some queued read wants. A read that is bank-ready
+        // but held back (class blocking or a channel-global constraint)
+        // forces a retry next DRAM cycle, since that blocking state can
+        // change with any issued command.
+        Cycle wake = kNeverCycle;
+        const auto fold_wake = [&](NextCmd cmd) {
+            const Cycle local = bankLocalReady(b, cmd);
+            wake = std::min(wake, local <= now ? retry : local);
+        };
+        if (summary.any_hit)
+            fold_wake(NextCmd::Column);
+        if (summary.any_miss)
+            fold_wake(miss_cmd);
+        shard.wake = wake;
     }
     if (best_slot == RequestPool::kNone)
         return false;
-    issueCommand(pool_.at(best_slot), best_cmd, best_hit, now);
+    issueCommand(pool_.at(best_slot), best_cmd, best_cmd == NextCmd::Column,
+                 now);
     return true;
 }
 
@@ -703,21 +747,35 @@ MemoryController::scheduleWrite(Cycle now)
             RequestClass::Writeback)];
         traceRequest(telemetry::EventKind::WriteRetire, *best, now,
                      best->arrival);
-        auto pending = pending_rows_.find(rowKey(best->coord));
-        if (--pending->second == 0)
-            pending_rows_.erase(pending);
         write_index_.erase(best->line_addr);
         write_q_.erase(best);
     }
     return true;
 }
 
+bool
+MemoryController::nextDrainMode() const
+{
+    if (write_q_.size() >= config_.write_drain_high)
+        return true;
+    if (write_q_.size() <= config_.write_drain_low)
+        return false;
+    return write_drain_mode_;
+}
+
 void
 MemoryController::tick(Cycle now)
 {
-    const auto &timing = channel_.timing();
-    if (now % timing.cpu_per_dram_cycle != 0)
-        return;
+    const Cycle period = channel_.timing().cpu_per_dram_cycle;
+    if (now != next_dram_tick_) {
+        if (now < next_dram_tick_)
+            return; // between DRAM clock edges
+        // Called past the expected edge without a skipTo(): re-align.
+        next_dram_tick_ = (now + period - 1) / period * period;
+        if (now != next_dram_tick_)
+            return;
+    }
+    next_dram_tick_ = now + period;
 
     ++stats_.dram_cycles;
     stats_.read_queue_occupancy_sum += pool_.size();
@@ -735,11 +793,7 @@ MemoryController::tick(Cycle now)
         return;
     }
 
-    if (write_q_.size() >= config_.write_drain_high)
-        write_drain_mode_ = true;
-    else if (write_q_.size() <= config_.write_drain_low)
-        write_drain_mode_ = false;
-
+    write_drain_mode_ = nextDrainMode();
     if (write_drain_mode_) {
         if (!scheduleWrite(now))
             scheduleRead(now);
@@ -787,62 +841,26 @@ MemoryController::nextEventCycle(Cycle from) const
     // only move on controller or core events, so a request blocked at
     // `from` stays blocked for the whole gap.
     if (occupied_banks_ != 0) {
-        const std::uint64_t accurate_mask =
-            (context_.latticeAccuracyDependent() || config_.ranking_enabled)
-                ? accurateCoreMask()
-                : 0;
+        const std::uint64_t accurate_mask = accurateCoreMask();
         const Cycle col_global = channel_.readColumnGlobalReadyAt();
         const Cycle act_global = channel_.activateGlobalReadyAt();
         const Cycle pre_global = channel_.commandBusFreeAt();
         for (std::uint64_t mask = occupied_banks_; mask != 0;
              mask &= mask - 1) {
             const auto b = static_cast<std::uint32_t>(__builtin_ctzll(mask));
-            const BankShard &shard = shards_[b];
-            // A shard can hold a class-blocked request only when it mixes
-            // the preferred and deprioritized lattice levels; the common
-            // pure shard skips the per-slot class checks entirely.
-            const bool maybe_blocked =
-                context_.shardHasLevelZero(shard.queued_demands,
-                                           shard.pref_core_mask,
-                                           accurate_mask) &&
-                context_.shardHasPreferred(shard.queued_demands,
-                                           shard.pref_core_mask,
-                                           accurate_mask);
+            // The summary holds a candidate for exactly the commands
+            // some unblocked read wants.
             const std::uint64_t open = channel_.openRow(b);
-            const bool bank_open = open != dram::kNoOpenRow;
-            // Which command classes does some unblocked request want?
-            bool want_act = false;
-            bool want_col = false;
-            bool want_pre = false;
-            if (!bank_open && !maybe_blocked) {
-                want_act = true;
-            } else {
-                for (const std::uint32_t slot : shard.queued) {
-                    if (maybe_blocked &&
-                        context_.latticeLevel(pool_.classOf(slot),
-                                              pool_.coreOf(slot)) == 0)
-                        continue;
-                    if (!bank_open) {
-                        want_act = true;
-                        break;
-                    }
-                    if (pool_.rowOf(slot) == open) {
-                        want_col = true;
-                        if (want_pre)
-                            break;
-                    } else {
-                        want_pre = true;
-                        if (want_col)
-                            break;
-                    }
-                }
-            }
-            if (want_act)
-                fold(std::max(channel_.bankReadyActivate(b), act_global));
-            if (want_col)
+            const ShardSummary &summary =
+                summaryOf(shards_[b], open, accurate_mask);
+            if (summary.hit_slot != RequestPool::kNone)
                 fold(std::max(channel_.bankReadyColumn(b), col_global));
-            if (want_pre)
-                fold(std::max(channel_.bankReadyPrecharge(b), pre_global));
+            if (summary.miss_slot != RequestPool::kNone) {
+                fold(open == dram::kNoOpenRow
+                         ? std::max(channel_.bankReadyActivate(b), act_global)
+                         : std::max(channel_.bankReadyPrecharge(b),
+                                    pre_global));
+            }
             if (raw <= next_tick)
                 return next_tick;
         }
@@ -856,12 +874,7 @@ MemoryController::nextEventCycle(Cycle from) const
     // and with the channel frozen inside the gap, that cycle is exactly
     // max(bank-local ready, channel-global ready) per write.
     if (!write_q_.empty()) {
-        bool drain = write_drain_mode_;
-        if (write_q_.size() >= config_.write_drain_high)
-            drain = true;
-        else if (write_q_.size() <= config_.write_drain_low)
-            drain = false;
-        if (drain || pool_.empty()) {
+        if (nextDrainMode() || pool_.empty()) {
             const Cycle col_global = channel_.writeColumnGlobalReadyAt();
             const Cycle act_global = channel_.activateGlobalReadyAt();
             const Cycle pre_global = channel_.commandBusFreeAt();
@@ -955,9 +968,18 @@ MemoryController::skipTo(Cycle from, Cycle to)
     const Cycle first = from == nec_from_
                             ? nec_next_tick_
                             : (from + period - 1) / period * period;
-    if (first >= to)
+    if (first >= to) {
+        next_dram_tick_ = first;
         return; // the gap contains no DRAM cycle
+    }
     const std::uint64_t ticks = (to - 1 - first) / period + 1;
+    next_dram_tick_ = first + ticks * period;
+    // Each skipped tick that gets past the refresh check re-applies the
+    // drain hysteresis. The write queue is constant across the gap, so
+    // one application stands for all of them; a refresh due at the
+    // first tick stays due (and blocks every tick) until the gap ends.
+    if (!channel_.refreshDue(first))
+        write_drain_mode_ = nextDrainMode();
     stats_.dram_cycles += ticks;
     stats_.read_queue_occupancy_sum +=
         ticks * static_cast<std::uint64_t>(pool_.size());

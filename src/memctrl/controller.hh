@@ -26,10 +26,22 @@
  *  - a cached per-bank wake-up cycle (lower bound on the next cycle any
  *    command to that bank could be bank-locally legal), invalidated on
  *    enqueue and whenever a command changes the bank's state;
- *  - per-(bank,row) pending counters replacing the O(queue) same-row
- *    scan of the closed-row policy;
+ *  - a cached per-bank scan summary (ShardSummary): the best unblocked
+ *    row-hit read and the best unblocked row-miss read with their
+ *    priority keys, and whether any queued read, blocked or not, hits or
+ *    misses the open row. A round and the jump bound read it instead of
+ *    walking the bank's reads, so they cost O(banks); only a stale
+ *    summary is rebuilt. It is stale when its dirty flag is set (an
+ *    enqueue that flips the bank's has-preferred state, a removal, a
+ *    promotion, or any rank moving), when the bank's open row differs
+ *    from the one it was built for (every PRE/ACT, and refresh or
+ *    closed-row auto-precharge, which need no hook of their own), or
+ *    when the accurate-core mask differs from the one it was built
+ *    under;
  *  - per-bank demand/prefetch occupancy counters and per-core criticality
  *    counters replacing the per-cycle class-mask and ranking rescans.
+ * The closed-row policy's "another request pending to this row?" test
+ * walks only the bank's shard and the write queue.
  * The naive O(queue) scheduler is retained behind
  * SchedulerConfig::reference_scheduler as the golden model; both paths
  * are decision-identical (same command each cycle, same stats).
@@ -251,6 +263,34 @@ class MemoryController
     /** The next DRAM command a request needs, given current bank state. */
     enum class NextCmd : std::uint8_t { Precharge, Activate, Column, None };
 
+    /**
+     * Cached result of scanning one shard's queued reads: the best
+     * unblocked candidate for each of the two commands its reads can
+     * want, and which of those commands any queued read (blocked or
+     * not) wants. Both the scheduling round and the jump bound read it
+     * instead of walking the shard. It is valid only while it is not
+     * dirty and the open row and accurate-core mask it was built under
+     * still hold (see summaryOf()).
+     */
+    struct ShardSummary
+    {
+        /** Best unblocked read hitting the open row (wants Column). */
+        std::uint32_t hit_slot = RequestPool::kNone;
+        std::uint64_t hit_key = 0;
+        /** Best unblocked read missing it (Precharge, or Activate when
+            the bank is closed). */
+        std::uint32_t miss_slot = RequestPool::kNone;
+        std::uint64_t miss_key = 0;
+        bool any_hit = false;  ///< some queued read hits the open row
+        bool any_miss = false; ///< some queued read misses it
+
+        /** The queued set, a class or the ranks changed since the
+            build. */
+        bool dirty = true;
+        std::uint64_t row = dram::kNoOpenRow; ///< open row built for
+        std::uint64_t accurate_mask = 0;      ///< mask built under
+    };
+
     /** Scheduler shard for one DRAM bank. */
     struct BankShard
     {
@@ -273,6 +313,9 @@ class MemoryController
             accurate-core mask. */
         std::vector<std::uint32_t> pref_by_core;
         std::uint64_t pref_core_mask = 0;
+
+        /** Scan cache; rebuilt on demand, also from const readers. */
+        mutable ShardSummary summary;
     };
 
     NextCmd nextCommand(const Request &req, bool *row_hit) const;
@@ -286,17 +329,28 @@ class MemoryController
     bool scheduleWrite(Cycle now);
     void finishRead(std::uint32_t slot, Cycle now);
 
-    /** True when another queued request targets the same bank and row. */
+    /** Write-drain mode after one tick's hysteresis update. */
+    bool nextDrainMode() const;
+
+    /** True when another queued read or pending write targets the same
+        bank and row (the closed-row policy's auto-precharge test). */
     bool pendingSameRow(const Request &req) const;
 
     // --- incremental bookkeeping helpers ------------------------------
 
-    /** Key of the per-(bank,row) pending-request counter map. */
-    static std::uint64_t rowKey(const dram::DramCoord &coord)
-    {
-        // Row bits never reach bit 48 for any realistic geometry.
-        return (static_cast<std::uint64_t>(coord.bank) << 48) | coord.row;
-    }
+    /**
+     * The summary of @p shard, whose bank has @p open as its open row,
+     * under @p accurate_mask; rescans the shard first if the cached one
+     * is stale.
+     */
+    const ShardSummary &summaryOf(const BankShard &shard,
+                                  std::uint64_t open,
+                                  std::uint64_t accurate_mask) const;
+
+    /** Fold queued read @p slot into @p summary, whose bank has
+        @p has_preferred as its preferred-request state. */
+    void foldIntoSummary(ShardSummary &summary, std::uint32_t slot,
+                         bool has_preferred) const;
 
     /** Bitmask of cores whose prefetches are currently critical. */
     std::uint64_t accurateCoreMask() const;
@@ -372,6 +426,11 @@ class MemoryController
     mutable Cycle nec_from_ = kNeverCycle;
     mutable Cycle nec_next_tick_ = 0;
 
+    /** The next DRAM clock edge tick() acts on; every earlier cycle
+        returns after one compare. skipTo() moves it past a jump, and
+        tick() re-aligns it when called past it without one. */
+    Cycle next_dram_tick_ = 0;
+
     /** Pool slots of in-flight (Servicing) reads, kept sorted by seq so
         same-cycle completions fire in the same order as a full queue
         walk. */
@@ -381,10 +440,6 @@ class MemoryController
         min-updated at column issue, recomputed when completions remove
         entries. Feeds nextEventCycle(). */
     Cycle servicing_min_ready_ = kNeverCycle;
-
-    /** Queued reads + pending writes per (bank,row); backs the closed-row
-        policy's pendingSameRow() in O(1). */
-    std::unordered_map<std::uint64_t, std::uint32_t> pending_rows_;
 
     /** Requests (any state) in the read queue per core, split by current
         P bit; critical-request counts for RANK derive from these. */

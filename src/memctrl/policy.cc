@@ -9,15 +9,6 @@ namespace padc::memctrl
 namespace
 {
 
-/// Width of the inverted-arrival (FCFS) field in the packed key.
-constexpr std::uint32_t kArrivalBits = 52;
-constexpr std::uint64_t kArrivalMask = (1ULL << kArrivalBits) - 1;
-
-constexpr std::uint32_t kRankShift = kArrivalBits;        // 8 bits
-constexpr std::uint32_t kUrgentShift = kRankShift + 8;    // 1 bit
-constexpr std::uint32_t kRowHitShift = kUrgentShift + 1;  // 1 bit
-constexpr std::uint32_t kLevel0Shift = kRowHitShift + 1;  // 1 bit
-
 // Lattice-slot shorthand: {level, urgent}.
 constexpr LatticeSlot kLo{0, false};   // deprioritized
 constexpr LatticeSlot kHi{1, false};   // preferred
@@ -96,11 +87,11 @@ static_assert(static_cast<std::size_t>(RequestClass::DemandRead) == 0 &&
               "lattice rows are indexed by RequestClass value");
 
 /**
- * The shard aggregate checks (shardHasPreferred/shardHasLevelZero)
- * summarize demands with a single count, so a demand's lattice level
- * must not depend on per-core accuracy. Every current policy satisfies
- * this; a policy that wants accuracy-dependent demand levels must add
- * a per-core demand mask to BankShard first.
+ * The shard aggregate check (shardHasPreferred) summarizes demands
+ * with a single count, so a demand's lattice level must not depend on
+ * per-core accuracy. Every current policy satisfies this; a policy
+ * that wants accuracy-dependent demand levels must add a per-core
+ * demand mask to BankShard first.
  */
 constexpr bool
 demandLevelsAccuracyIndependent()
@@ -203,26 +194,24 @@ SchedContext::SchedContext(const SchedulerConfig &config,
 {
 }
 
-void
+bool
 SchedContext::updateRanks(
     const std::array<std::uint32_t, kMaxCores> &critical_counts,
     std::uint32_t num_cores)
 {
     if (!config_.ranking_enabled)
-        return;
+        return false;
     // Shortest job first: fewer outstanding critical requests -> higher
     // rank. Encoding the (saturated) complement of the count preserves
     // the ordering without a sort and gives equal-count cores equal rank.
+    bool moved = false;
     for (std::uint32_t i = 0; i < num_cores && i < kMaxCores; ++i) {
         const std::uint32_t count = std::min(critical_counts[i], 255u);
-        rank_[i] = static_cast<std::uint8_t>(255u - count);
+        const auto rank = static_cast<std::uint8_t>(255u - count);
+        moved |= rank != rank_[i];
+        rank_[i] = rank;
     }
-}
-
-std::uint32_t
-SchedContext::latticeLevel(RequestClass cls, CoreId core) const
-{
-    return lattice_.of(cls)[coreAccurate(core) ? 1 : 0].level;
+    return moved;
 }
 
 bool
@@ -245,52 +234,10 @@ SchedContext::shardHasPreferred(std::uint32_t queued_demands,
     return false;
 }
 
-bool
-SchedContext::shardHasLevelZero(std::uint32_t queued_demands,
-                                std::uint64_t pref_core_mask,
-                                std::uint64_t accurate_mask) const
-{
-    const auto &demand = lattice_.of(RequestClass::DemandRead);
-    const auto &pref = lattice_.of(RequestClass::Prefetch);
-    if (queued_demands > 0 && demand[0].level == 0)
-        return true;
-    const bool pref_inacc = pref[0].level > 0;
-    const bool pref_acc = pref[1].level > 0;
-    if (!pref_acc && !pref_inacc)
-        return pref_core_mask != 0;
-    if (!pref_acc)
-        return (pref_core_mask & accurate_mask) != 0;
-    if (!pref_inacc)
-        return (pref_core_mask & ~accurate_mask) != 0;
-    return false;
-}
-
 std::uint64_t
 SchedContext::priorityKey(const Request &req, bool row_hit) const
 {
     return priorityKey(req.cls, req.core, req.seq, row_hit);
-}
-
-std::uint64_t
-SchedContext::priorityKey(RequestClass cls, CoreId core,
-                          std::uint64_t seq, bool row_hit) const
-{
-    assert(core < kMaxCores);
-    const LatticeSlot slot = lattice_.of(cls)[coreAccurate(core) ? 1 : 0];
-
-    const std::uint64_t level0 = slot.level;
-    const std::uint64_t urgent =
-        (slot.urgent && config_.urgency_enabled) ? 1 : 0;
-    // Footnote 12: only critical (level-1) requests are ranked;
-    // level-0 requests keep the lowest rank value (0).
-    std::uint64_t rank = 0;
-    if (lattice_.ranked && config_.ranking_enabled && slot.level != 0)
-        rank = rank_[core];
-
-    const std::uint64_t inv_arrival = (~seq) & kArrivalMask;
-    return (level0 << kLevel0Shift) | ((row_hit ? 1ULL : 0ULL)
-           << kRowHitShift) | (urgent << kUrgentShift) |
-           (rank << kRankShift) | inv_arrival;
 }
 
 } // namespace padc::memctrl

@@ -29,6 +29,7 @@
 #define PADC_MEMCTRL_POLICY_HH
 
 #include <array>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 
@@ -184,8 +185,10 @@ class SchedContext
      *
      * @param critical_counts outstanding critical requests per core
      * @param num_cores cores participating
+     * @return true when any core's rank changed (every cached key that
+     *         embeds a rank is then stale)
      */
-    void updateRanks(const std::array<std::uint32_t, kMaxCores>
+    bool updateRanks(const std::array<std::uint32_t, kMaxCores>
                          &critical_counts,
                      std::uint32_t num_cores);
 
@@ -199,7 +202,16 @@ class SchedContext
      * serviced"). The controller enforces this with per-bank class
      * masks.
      */
-    std::uint32_t latticeLevel(RequestClass cls, CoreId core) const;
+    std::uint32_t latticeLevel(RequestClass cls, CoreId core) const
+    {
+        return latticeLevelAt(cls, coreAccurate(core));
+    }
+
+    /** latticeLevel() with the core's accuracy column given explicitly. */
+    std::uint32_t latticeLevelAt(RequestClass cls, bool accurate) const
+    {
+        return lattice_.of(cls)[accurate ? 1 : 0].level;
+    }
 
     /**
      * True when some class's lattice slot differs between the accurate
@@ -224,11 +236,6 @@ class SchedContext
                            std::uint64_t pref_core_mask,
                            std::uint64_t accurate_mask) const;
 
-    /** Companion of shardHasPreferred(): any level-0 request queued? */
-    bool shardHasLevelZero(std::uint32_t queued_demands,
-                           std::uint64_t pref_core_mask,
-                           std::uint64_t accurate_mask) const;
-
     /**
      * Priority key for @p req given current @p row_hit status; larger is
      * higher priority. Deterministic total order (ties broken by
@@ -242,13 +249,54 @@ class SchedContext
      * (request class, core, seq) without touching the Request record.
      */
     std::uint64_t priorityKey(RequestClass cls, CoreId core,
-                              std::uint64_t seq, bool row_hit) const;
+                              std::uint64_t seq, bool row_hit) const
+    {
+        return priorityKeyAt(cls, core, seq, row_hit, coreAccurate(core));
+    }
+
+    /**
+     * priorityKey() with the core's accuracy column given explicitly, so
+     * a key cached under one accurate-core mask can be recomputed (or
+     * extended) under that same mask without consulting the tracker.
+     */
+    std::uint64_t priorityKeyAt(RequestClass cls, CoreId core,
+                                std::uint64_t seq, bool row_hit,
+                                bool accurate) const
+    {
+        assert(core < kMaxCores);
+        const LatticeSlot slot = lattice_.of(cls)[accurate ? 1 : 0];
+
+        const std::uint64_t level0 = slot.level;
+        const std::uint64_t urgent =
+            (slot.urgent && config_.urgency_enabled) ? 1 : 0;
+        // Footnote 12: only critical (level-1) requests are ranked;
+        // level-0 requests keep the lowest rank value (0).
+        std::uint64_t rank = 0;
+        if (lattice_.ranked && config_.ranking_enabled && slot.level != 0)
+            rank = rank_[core];
+
+        const std::uint64_t inv_arrival = (~seq) & kArrivalMask;
+        return (level0 << kLevel0Shift) |
+               ((row_hit ? 1ULL : 0ULL) << kRowHitShift) |
+               (urgent << kUrgentShift) | (rank << kRankShift) |
+               inv_arrival;
+    }
 
     const SchedulerConfig &config() const { return config_; }
 
     const PolicyLattice &lattice() const { return lattice_; }
 
   private:
+    /// Width of the inverted-arrival (FCFS) field in the packed key.
+    static constexpr std::uint32_t kArrivalBits = 52;
+    static constexpr std::uint64_t kArrivalMask =
+        (1ULL << kArrivalBits) - 1;
+
+    static constexpr std::uint32_t kRankShift = kArrivalBits;       // 8 bits
+    static constexpr std::uint32_t kUrgentShift = kRankShift + 8;   // 1 bit
+    static constexpr std::uint32_t kRowHitShift = kUrgentShift + 1; // 1 bit
+    static constexpr std::uint32_t kLevel0Shift = kRowHitShift + 1; // 1 bit
+
     const SchedulerConfig &config_;
     const AccuracyTracker &tracker_;
     const PolicyLattice &lattice_;

@@ -4,18 +4,23 @@
  * make exactly the same decision as the naive reference scheduler every
  * cycle, for every policy configuration.
  *
- * Two complete controller stacks (separate Channel, AccuracyTracker and
- * handler) receive an identical randomized stimulus -- enqueues of
- * demands/prefetches/writebacks over a small bank/row space (high
- * conflict rate), promotions, accuracy-moving prefetch-used events and
- * interval ticks -- one configured with reference_scheduler=true, the
- * other with the optimized path. The test then compares the complete
- * DRAM command streams (IssueRecord logs), the completion/drop event
- * sequences, and every statistic.
+ * Complete controller stacks (separate Channel, AccuracyTracker and
+ * handler) receive an identical pre-generated randomized stimulus --
+ * enqueues of demands/prefetches/writebacks over a small line pool,
+ * promotions, accuracy-moving prefetch-used events and interval ticks.
+ * The base pool keeps every line in row 0 of its bank; the shaped
+ * combinations add row conflicts, refresh and a deep buffer (see
+ * EquivalenceLoad). One stack runs reference_scheduler=true, one the
+ * optimized path ticked every cycle, and one the optimized path that
+ * jumps over cycles with nextEventCycle()/skipTo(), as the event-driven
+ * system loop does. The test then compares the complete DRAM command
+ * streams (IssueRecord logs), the completion/drop event sequences, and
+ * every statistic of both optimized stacks against the reference.
  */
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -64,8 +69,9 @@ class LoggingHandler : public ResponseHandler
 /** One controller plus everything it owns, for lockstep driving. */
 struct Stack
 {
-    Stack(const SchedulerConfig &config, std::uint32_t num_cores)
-        : channel(timing, 8), map(geometry),
+    Stack(const SchedulerConfig &config, std::uint32_t num_cores,
+          const dram::TimingParams &timing_params = {})
+        : timing(timing_params), channel(timing, 8), map(geometry),
           tracker(num_cores, config.accuracy),
           ctrl(config, channel, tracker, handler, num_cores)
     {
@@ -107,71 +113,201 @@ expectStatsEqual(const ControllerStats &a, const ControllerStats &b)
             << toString(static_cast<RequestClass>(c));
 }
 
+/** One pre-generated stimulus operation, applied at its cycle. */
+struct Stimulus
+{
+    enum class Kind : std::uint8_t { Read, Write, Promote, PrefetchUsed };
+
+    Cycle cycle;
+    Kind kind;
+    Addr addr;
+    CoreId core;
+    RequestClass cls;
+};
+
+/** Apply @p op to @p stack; returns the accept/promote outcome. */
+bool
+apply(Stack &stack, const Stimulus &op)
+{
+    switch (op.kind) {
+      case Stimulus::Kind::Read:
+        return stack.ctrl.enqueueRead(stack.map.map(op.addr),
+                                      lineAlign(op.addr), op.core, 0x400,
+                                      op.cls, op.cycle);
+      case Stimulus::Kind::Write:
+        stack.ctrl.enqueueWrite(stack.map.map(op.addr), lineAlign(op.addr),
+                                op.core, op.cycle);
+        return true;
+      case Stimulus::Kind::Promote:
+        return stack.ctrl.promote(lineAlign(op.addr), op.cycle);
+      case Stimulus::Kind::PrefetchUsed:
+        // Moves the accuracy estimate (flips criticality/urgency).
+        stack.tracker.onPrefetchUsed(op.core);
+        return true;
+    }
+    return false;
+}
+
 /**
- * Drive reference and optimized stacks through an identical randomized
- * stimulus and require identical observable behaviour.
+ * Drive @p stack through @p ops until @p end, jumping over cycles with
+ * the controller's nextEventCycle()/skipTo() the way the event-driven
+ * system loop does. Each jump is also bounded by the next stimulus
+ * cycle and the tracker's interval boundary. @return cycles skipped.
+ */
+Cycle
+driveWithJumps(Stack &stack, const std::vector<Stimulus> &ops, Cycle end)
+{
+    Cycle skipped = 0;
+    std::size_t next_op = 0;
+    for (Cycle now = 0; now < end;) {
+        for (; next_op < ops.size() && ops[next_op].cycle == now; ++next_op)
+            apply(stack, ops[next_op]);
+        stack.tracker.tick(now);
+        stack.ctrl.tick(now);
+        ++now;
+        Cycle next = std::min(end, stack.tracker.nextBoundary());
+        if (next_op < ops.size())
+            next = std::min(next, ops[next_op].cycle);
+        if (next <= now)
+            continue;
+        next = std::min(next, stack.ctrl.nextEventCycle(now));
+        if (next <= now)
+            continue;
+        stack.ctrl.skipTo(now, next);
+        skipped += next - now;
+        now = next;
+    }
+    return skipped;
+}
+
+/** Require @p other to show exactly the reference's behaviour. */
+void
+expectSameBehaviour(const Stack &ref, const Stack &other)
+{
+    EXPECT_GT(ref.issues.size(), 0u) << "stimulus issued no commands";
+    ASSERT_EQ(ref.issues.size(), other.issues.size());
+    for (std::size_t i = 0; i < ref.issues.size(); ++i) {
+        EXPECT_TRUE(ref.issues[i] == other.issues[i])
+            << "command " << i << " differs: cycle " << ref.issues[i].cycle
+            << " vs " << other.issues[i].cycle << ", bank "
+            << ref.issues[i].bank << " vs " << other.issues[i].bank
+            << ", seq " << ref.issues[i].seq << " vs "
+            << other.issues[i].seq;
+        if (!(ref.issues[i] == other.issues[i]))
+            break; // one divergence floods everything after it
+    }
+    ASSERT_EQ(ref.handler.events.size(), other.handler.events.size());
+    for (std::size_t i = 0; i < ref.handler.events.size(); ++i)
+        EXPECT_TRUE(ref.handler.events[i] == other.handler.events[i])
+            << "completion/drop event " << i << " differs";
+    expectStatsEqual(ref.ctrl.stats(), other.ctrl.stats());
+    EXPECT_EQ(ref.channel.stats().refreshes, other.channel.stats().refreshes);
+}
+
+/** Stimulus and geometry knobs beyond the scheduler policy. */
+struct EquivalenceLoad
+{
+    /** Small by default: exercises rejected-full. 128 (the default
+        buffer) with a wider line pool keeps about 9+ reads per bank
+        queued, as saturated 4-core runs do. */
+    std::uint32_t buffer = 24;
+
+    /** Distinct lines the stimulus touches. A small pool makes
+        duplicate enqueues, promotions and write-queue hits common. */
+    std::uint64_t lines = 192;
+
+    /** Lines per DRAM row the pool fills (spread over the 8 banks)
+        before moving on to the next row. By default the whole pool
+        shares row 0, so reads only ever hit or find the bank closed;
+        48 (6 columns per bank) gives each bank several rows, so row
+        conflicts and precharges are common too. */
+    std::uint64_t lines_per_row = 192;
+
+    /** Periodic refresh with a short interval, so refresh closes banks
+        under the scheduler many times per run. */
+    bool refresh = false;
+};
+
+/**
+ * Drive reference, optimized and jumping optimized stacks through an
+ * identical randomized stimulus and require identical observable
+ * behaviour.
  */
 void
-runEquivalence(SchedulerConfig config, std::uint64_t seed)
+runEquivalence(SchedulerConfig config, std::uint64_t seed,
+               const EquivalenceLoad &load = {})
 {
     constexpr std::uint32_t kCores = 4;
     constexpr Cycle kDriveCycles = 12000;
     constexpr Cycle kDrainCycles = 8000;
+    constexpr Cycle kEnd = kDriveCycles + kDrainCycles;
 
-    config.request_buffer_size = 24; // small: exercise rejected-full
+    config.request_buffer_size = load.buffer;
     config.write_buffer_size = 16;
     config.write_drain_high = 10;
     config.write_drain_low = 3;
     config.accuracy.interval = 1500; // several interval boundaries
     config.accuracy.min_samples = 4;
 
+    dram::TimingParams timing;
+    if (load.refresh) {
+        timing.refresh_enabled = true;
+        timing.tREFI = 300; // about 11 refreshes per run
+    }
+
     SchedulerConfig ref_config = config;
     ref_config.reference_scheduler = true;
     SchedulerConfig opt_config = config;
     opt_config.reference_scheduler = false;
 
-    Stack ref(ref_config, kCores);
-    Stack opt(opt_config, kCores);
+    Stack ref(ref_config, kCores, timing);
+    Stack opt(opt_config, kCores, timing);
+    Stack jump(opt_config, kCores, timing);
 
     Rng rng(seed);
-    // Small line pool: 8 banks x few rows, so row conflicts, duplicate
-    // enqueues, promotions and write-queue hits all occur.
-    auto randomLine = [&] { return lineToAddr(rng.nextBelow(192)); };
-
+    // Consecutive lines interleave across banks, then columns, then rows.
+    const std::uint64_t row_stride = 8 * dram::Geometry{}.linesPerRow();
+    auto randomLine = [&] {
+        const std::uint64_t n = rng.nextBelow(load.lines);
+        return lineToAddr(n / load.lines_per_row * row_stride +
+                          n % load.lines_per_row);
+    };
+    auto randomCore = [&] {
+        return static_cast<CoreId>(rng.nextBelow(kCores));
+    };
+    std::vector<Stimulus> ops;
     for (Cycle now = 0; now < kDriveCycles; ++now) {
         if (rng.chance(0.30)) {
             const Addr addr = randomLine();
-            const auto core = static_cast<CoreId>(rng.nextBelow(kCores));
+            const CoreId core = randomCore();
             const RequestClass cls = rng.chance(0.5)
                                          ? RequestClass::Prefetch
                                          : RequestClass::DemandRead;
-            const bool a = ref.ctrl.enqueueRead(ref.map.map(addr),
-                                                lineAlign(addr), core,
-                                                0x400, cls, now);
-            const bool b = opt.ctrl.enqueueRead(opt.map.map(addr),
-                                                lineAlign(addr), core,
-                                                0x400, cls, now);
-            ASSERT_EQ(a, b) << "enqueue disagreement at cycle " << now;
+            ops.push_back({now, Stimulus::Kind::Read, addr, core, cls});
         }
         if (rng.chance(0.05)) {
             const Addr addr = randomLine();
-            const auto core = static_cast<CoreId>(rng.nextBelow(kCores));
-            ref.ctrl.enqueueWrite(ref.map.map(addr), lineAlign(addr), core,
-                                  now);
-            opt.ctrl.enqueueWrite(opt.map.map(addr), lineAlign(addr), core,
-                                  now);
+            ops.push_back({now, Stimulus::Kind::Write, addr, randomCore(),
+                           RequestClass::Writeback});
         }
         if (rng.chance(0.04)) {
-            const Addr addr = randomLine();
-            const bool a = ref.ctrl.promote(lineAlign(addr), now);
-            const bool b = opt.ctrl.promote(lineAlign(addr), now);
-            ASSERT_EQ(a, b) << "promotion disagreement at cycle " << now;
+            ops.push_back({now, Stimulus::Kind::Promote, randomLine(), 0,
+                           RequestClass::DemandRead});
         }
         if (rng.chance(0.10)) {
-            // Move the accuracy estimate (flips criticality/urgency).
-            const auto core = static_cast<CoreId>(rng.nextBelow(kCores));
-            ref.tracker.onPrefetchUsed(core);
-            opt.tracker.onPrefetchUsed(core);
+            ops.push_back({now, Stimulus::Kind::PrefetchUsed, 0,
+                           randomCore(), RequestClass::Prefetch});
+        }
+    }
+
+    std::uint64_t drive_depth_sum = 0;
+    std::size_t next_op = 0;
+    for (Cycle now = 0; now < kEnd; ++now) {
+        for (; next_op < ops.size() && ops[next_op].cycle == now;
+             ++next_op) {
+            const bool a = apply(ref, ops[next_op]);
+            const bool b = apply(opt, ops[next_op]);
+            ASSERT_EQ(a, b) << "stimulus disagreement at cycle " << now;
         }
         ref.tracker.tick(now);
         opt.tracker.tick(now);
@@ -179,34 +315,35 @@ runEquivalence(SchedulerConfig config, std::uint64_t seed)
         opt.ctrl.tick(now);
         ASSERT_EQ(ref.issues.size(), opt.issues.size())
             << "issue-count divergence at cycle " << now;
+        if (now < kDriveCycles)
+            drive_depth_sum += ref.ctrl.readQueueSize();
     }
-    for (Cycle now = kDriveCycles; now < kDriveCycles + kDrainCycles;
-         ++now) {
-        ref.tracker.tick(now);
-        opt.tracker.tick(now);
-        ref.ctrl.tick(now);
-        opt.ctrl.tick(now);
-    }
+    const Cycle skipped = driveWithJumps(jump, ops, kEnd);
 
-    EXPECT_GT(ref.issues.size(), 0u) << "stimulus issued no commands";
-    ASSERT_EQ(ref.issues.size(), opt.issues.size());
-    for (std::size_t i = 0; i < ref.issues.size(); ++i) {
-        EXPECT_TRUE(ref.issues[i] == opt.issues[i])
-            << "command " << i << " differs: cycle " << ref.issues[i].cycle
-            << " vs " << opt.issues[i].cycle << ", bank "
-            << ref.issues[i].bank << " vs " << opt.issues[i].bank
-            << ", seq " << ref.issues[i].seq << " vs "
-            << opt.issues[i].seq;
-        if (!(ref.issues[i] == opt.issues[i]))
-            break; // one divergence floods everything after it
+    {
+        SCOPED_TRACE("optimized scheduler, every cycle ticked");
+        expectSameBehaviour(ref, opt);
     }
-    ASSERT_EQ(ref.handler.events.size(), opt.handler.events.size());
-    for (std::size_t i = 0; i < ref.handler.events.size(); ++i)
-        EXPECT_TRUE(ref.handler.events[i] == opt.handler.events[i])
-            << "completion/drop event " << i << " differs";
-    expectStatsEqual(ref.ctrl.stats(), opt.ctrl.stats());
+    {
+        SCOPED_TRACE("optimized scheduler, event jumps");
+        EXPECT_GT(skipped, 0u) << "the jump stack never jumped";
+        expectSameBehaviour(ref, jump);
+    }
+    if (load.refresh) {
+        EXPECT_GT(ref.channel.stats().refreshes, 5u);
+    }
+    if (load.buffer > 64) {
+        // About 9+ queued reads per bank while the stimulus runs.
+        EXPECT_GE(drive_depth_sum, 9 * 8 * kDriveCycles)
+            << "the deep buffer barely fills";
+    }
 }
 
+/**
+ * One scheduler configuration. Its bytes are part of the registered
+ * test names (gtest prints a parameter without a printer as a byte
+ * dump), so it stays five one-byte members with no padding.
+ */
 struct Combo
 {
     SchedPolicyKind kind;
@@ -233,13 +370,10 @@ comboName(const Combo &combo)
     return name;
 }
 
-class SchedEquivalence : public ::testing::TestWithParam<Combo>
+/** Run @p combo's configuration under @p load. */
+void
+runCombo(const Combo &combo, const EquivalenceLoad &load = {})
 {
-};
-
-TEST_P(SchedEquivalence, DecisionIdentical)
-{
-    const Combo &combo = GetParam();
     SchedulerConfig config;
     config.kind = combo.kind;
     config.urgency_enabled = combo.urgency;
@@ -253,7 +387,17 @@ TEST_P(SchedEquivalence, DecisionIdentical)
     runEquivalence(config, 0xC0FFEE ^ static_cast<std::uint64_t>(
                                           combo.kind == SchedPolicyKind::Aps
                                               ? 17
-                                              : 3));
+                                              : 3),
+                   load);
+}
+
+class SchedEquivalence : public ::testing::TestWithParam<Combo>
+{
+};
+
+TEST_P(SchedEquivalence, DecisionIdentical)
+{
+    runCombo(GetParam());
 }
 
 std::vector<Combo>
@@ -282,6 +426,128 @@ INSTANTIATE_TEST_SUITE_P(AllPolicies, SchedEquivalence,
                          [](const ::testing::TestParamInfo<Combo> &info) {
                              return comboName(info.param);
                          });
+
+/**
+ * Stimulus shapes beyond the base one (every line in row 0). Row
+ * conflicts change a bank's open row under its queued reads; refresh
+ * closes every bank behind the scheduler's back; the deep buffer keeps
+ * many reads per bank, so cached per-bank summaries see many arrivals
+ * and removals between rescans.
+ */
+enum class Shape : std::uint8_t { Conflicts, Refresh, RefreshConflicts, Deep };
+
+EquivalenceLoad
+loadOf(Shape shape)
+{
+    switch (shape) {
+      case Shape::Conflicts: return {24, 192, 48, false};
+      case Shape::Refresh: return {24, 192, 192, true};
+      case Shape::RefreshConflicts: return {24, 192, 48, true};
+      case Shape::Deep: return {128, 384, 48, false};
+    }
+    return {};
+}
+
+struct ShapedCombo
+{
+    Combo combo;
+    Shape shape;
+};
+
+std::string
+shapedComboName(const ShapedCombo &shaped)
+{
+    std::string name = comboName(shaped.combo);
+    switch (shaped.shape) {
+      case Shape::Conflicts: return name + "_conflicts";
+      case Shape::Refresh: return name + "_refresh";
+      case Shape::RefreshConflicts: return name + "_refresh_conflicts";
+      case Shape::Deep: return name + "_deep";
+    }
+    return name;
+}
+
+/** Names the parameter in test listings instead of a byte dump. */
+void
+PrintTo(const ShapedCombo &shaped, std::ostream *os)
+{
+    *os << shapedComboName(shaped);
+}
+
+class SchedEquivalenceShaped : public ::testing::TestWithParam<ShapedCombo>
+{
+};
+
+TEST_P(SchedEquivalenceShaped, DecisionIdentical)
+{
+    runCombo(GetParam().combo, loadOf(GetParam().shape));
+}
+
+std::vector<ShapedCombo>
+shapedCombos()
+{
+    std::vector<ShapedCombo> combos;
+    for (const Shape shape : {Shape::Conflicts, Shape::Refresh,
+                              Shape::RefreshConflicts, Shape::Deep}) {
+        for (const auto kind :
+             {SchedPolicyKind::FrFcfs, SchedPolicyKind::DemandFirst,
+              SchedPolicyKind::PrefetchFirst, SchedPolicyKind::Aps}) {
+            for (const auto row : {RowPolicy::Open, RowPolicy::Closed}) {
+                for (const bool ranking : {false, true})
+                    combos.push_back({{kind, true, ranking, true, row}, shape});
+            }
+        }
+    }
+    return combos;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, SchedEquivalenceShaped, ::testing::ValuesIn(shapedCombos()),
+    [](const ::testing::TestParamInfo<ShapedCombo> &info) {
+        return shapedComboName(info.param);
+    });
+
+/**
+ * Directed case for the cached per-bank summary: a demand arriving at a
+ * bank that holds only (deprioritized) prefetches blocks them. The
+ * prefetches hit the open row, so their column command becomes legal
+ * (tRCD) before the demand's precharge does (tRAS); a summary that kept
+ * them as candidates would issue a blocked prefetch first.
+ */
+TEST(SchedEquivalenceDirected, PreferredArrivalBlocksQueuedRowHits)
+{
+    SchedulerConfig config;
+    config.kind = SchedPolicyKind::DemandFirst;
+    config.apd_enabled = false;
+    SchedulerConfig ref_config = config;
+    ref_config.reference_scheduler = true;
+    Stack ref(ref_config, 1);
+    Stack opt(config, 1);
+
+    // Bank 0: lines 0 and 8 share row 0, line 8 * linesPerRow is row 1.
+    const Addr row1 = 8 * dram::Geometry{}.linesPerRow();
+    const std::vector<Stimulus> ops = {
+        {0, Stimulus::Kind::Read, lineToAddr(0), 0, RequestClass::Prefetch},
+        {0, Stimulus::Kind::Read, lineToAddr(8), 0, RequestClass::Prefetch},
+        // After the ACT and the round that rescans the bank at cycle 6.
+        {7, Stimulus::Kind::Read, lineToAddr(row1), 0,
+         RequestClass::DemandRead},
+    };
+    std::size_t next_op = 0;
+    for (Cycle now = 0; now < 2000; ++now) {
+        for (; next_op < ops.size() && ops[next_op].cycle == now; ++next_op) {
+            apply(ref, ops[next_op]);
+            apply(opt, ops[next_op]);
+        }
+        ref.ctrl.tick(now);
+        opt.ctrl.tick(now);
+    }
+    // The case is what it claims: the reference's command after the ACT
+    // serves the demand (seq 2), not a prefetch.
+    ASSERT_GE(ref.issues.size(), 2u);
+    EXPECT_EQ(ref.issues[1].seq, 2u);
+    expectSameBehaviour(ref, opt);
+}
 
 /** Duplicate enqueues are coalesced, not asserted on (satellite fix). */
 TEST(DuplicateEnqueue, CoalescesInsteadOfCorrupting)
