@@ -23,7 +23,6 @@
 #include "dram/address_map.hh"
 #include "dram/channel.hh"
 #include "memctrl/controller.hh"
-#include "obs/metrics.hh"
 #include "prefetch/stream_prefetcher.hh"
 #include "core/trace_file.hh"
 #include "sim/experiment.hh"
@@ -533,100 +532,6 @@ telemetryOverheadCheck()
     return 0;
 }
 
-// --- metrics-registry overhead check ---------------------------------
-
-/**
- * Wall seconds for @p ticks scheduler rounds, optionally bumping a
- * MetricsRegistry counter and sampling an AtomicHistogram every tick --
- * a deliberately hotter loop than any real instrumentation site (the
- * pool samples per task, not per scheduler round).
- */
-double
-timedObsRounds(std::uint64_t ticks, obs::Counter *counter,
-               obs::AtomicHistogram *histogram)
-{
-    SchedulerLoad load(32, false);
-    const auto begin = std::chrono::steady_clock::now();
-    for (std::uint64_t i = 0; i < ticks; ++i) {
-        load.tick();
-        if (counter != nullptr) {
-            counter->inc();
-            histogram->sample(i & 1023);
-        }
-    }
-    const auto end = std::chrono::steady_clock::now();
-    benchmark::DoNotOptimize(load.ctrl.stats().demand_reads);
-    return std::chrono::duration<double>(end - begin).count();
-}
-
-/**
- * Assert that the obs::MetricsRegistry hot path (relaxed atomic
- * counter increment + histogram sample, resolved once to stable
- * references) stays within measurement noise of the uninstrumented
- * loop, the same interleaved-median protocol as
- * --telemetry-overhead-check. Off by default for the same reasons.
- *
- * @return process exit code (0 = within noise)
- */
-int
-obsOverheadCheck()
-{
-    constexpr std::uint64_t kTicks = 200000;
-    constexpr int kRounds = 9;
-    constexpr double kNoiseBound = 1.30;
-
-    obs::MetricsRegistry &registry = obs::MetricsRegistry::instance();
-    obs::Counter &counter =
-        registry.counter("bench_obs_ticks_total", "overhead-check ticks");
-    obs::AtomicHistogram &histogram = registry.histogram(
-        "bench_obs_tick_value", 128, 8, "overhead-check samples");
-
-    // Warm both paths (page faults, branch predictors, allocator).
-    timedObsRounds(kTicks / 4, nullptr, nullptr);
-    timedObsRounds(kTicks / 4, &counter, &histogram);
-
-    std::vector<double> plain_a, plain_b, metered;
-    for (int round = 0; round < kRounds; ++round) {
-        plain_a.push_back(timedObsRounds(kTicks, nullptr, nullptr));
-        metered.push_back(timedObsRounds(kTicks, &counter, &histogram));
-        plain_b.push_back(timedObsRounds(kTicks, nullptr, nullptr));
-    }
-    const auto median = [](std::vector<double> &v) {
-        std::sort(v.begin(), v.end());
-        return v[v.size() / 2];
-    };
-    const double a = median(plain_a);
-    const double b = median(plain_b);
-    const double t = median(metered);
-
-    const double aa_ratio = std::max(a, b) / std::min(a, b);
-    const double metered_ratio = t / std::min(a, b);
-    std::printf("obs-overhead-check: plain %.4fs / %.4fs "
-                "(A/A ratio %.3f), metered %.4fs (ratio %.3f), "
-                "bound %.2f, counter %llu\n",
-                a, b, aa_ratio, t, metered_ratio, kNoiseBound,
-                static_cast<unsigned long long>(counter.value()));
-
-    if (aa_ratio > kNoiseBound) {
-        std::fprintf(stderr,
-                     "obs-overhead-check: FAIL: plain-path A/A ratio "
-                     "%.3f exceeds %.2f -- the machine is too noisy to "
-                     "measure\n",
-                     aa_ratio, kNoiseBound);
-        return 1;
-    }
-    if (metered_ratio > kNoiseBound) {
-        std::fprintf(stderr,
-                     "obs-overhead-check: FAIL: metered ratio %.3f "
-                     "exceeds %.2f -- the registry hot path is not "
-                     "within noise\n",
-                     metered_ratio, kNoiseBound);
-        return 1;
-    }
-    std::printf("obs-overhead-check: PASS\n");
-    return 0;
-}
-
 } // namespace
 
 /**
@@ -640,9 +545,6 @@ main(int argc, char **argv)
     if (argc == 2 &&
         std::string(argv[1]) == "--telemetry-overhead-check") {
         return telemetryOverheadCheck();
-    }
-    if (argc == 2 && std::string(argv[1]) == "--obs-overhead-check") {
-        return obsOverheadCheck();
     }
     std::vector<char *> args(argv, argv + argc);
     std::string out = "--benchmark_out=BENCH_simspeed.json";

@@ -5,8 +5,6 @@
 #include <atomic>
 #include <cstdio>
 
-#include "obs/metrics.hh"
-
 namespace padc::obs
 {
 
@@ -144,9 +142,6 @@ FleetMonitor::sweepStarted(const std::string &experiment,
     live_.quarantined = 0;
     rate_ = RateEstimator();
     sweep_start_ms_ = steadyNowMs();
-    MetricsRegistry::instance()
-        .counter("padc_sweeps_started_total", "Sweeps begun")
-        .inc();
     emitEvent(journaled > 0 ? "sweep_resume" : "sweep_start", -1, -1,
               journaled, experiment);
     publish(true);
@@ -173,10 +168,6 @@ FleetMonitor::pointDispatched(std::uint64_t index, std::size_t slot,
 {
     std::lock_guard<std::mutex> lock(mutex_);
     slotRef(slot).busy = true;
-    MetricsRegistry::instance()
-        .counter("padc_points_dispatched_total",
-                 "Points handed to pool workers")
-        .inc();
     emitEvent("point_dispatch", static_cast<std::int64_t>(index), pid, 0,
               "");
     publish(false);
@@ -189,26 +180,17 @@ FleetMonitor::pointFinished(std::uint64_t index, const std::string &status,
                             std::int64_t pid)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    auto &registry = MetricsRegistry::instance();
     const std::uint64_t now_ms = steadyNowMs();
     const bool interrupted = attempts == 0 && detail == "interrupted";
     const bool replayed = attempts == 0 && !interrupted;
     ++live_.done;
     if (replayed) {
         ++live_.replayed;
-        registry
-            .counter("padc_points_replayed_total",
-                     "Points satisfied from the resume journal")
-            .inc();
     } else if (!interrupted) {
         ++live_.executed;
         // Only genuinely executed points feed the rate estimator:
         // journal replays are near-instant and would wreck the ETA.
         rate_.notePoint(now_ms);
-        registry
-            .counter("padc_points_executed_total",
-                     "Points simulated to completion")
-            .inc();
     }
     if (status != "ok" && !interrupted)
         ++live_.failed;
@@ -231,10 +213,6 @@ FleetMonitor::pointRetried(std::uint64_t index, std::uint32_t attempt,
 {
     std::lock_guard<std::mutex> lock(mutex_);
     ++live_.retries;
-    MetricsRegistry::instance()
-        .counter("padc_point_retries_total",
-                 "Point attempts restarted after a worker death")
-        .inc();
     emitEvent("point_retry", static_cast<std::int64_t>(index), pid,
               attempt, fate);
     // Forced: a retry burst must be visible even inside the throttle
@@ -250,10 +228,6 @@ FleetMonitor::pointQuarantined(std::uint64_t index, std::int64_t pid,
     ++live_.quarantined;
     ++live_.done;
     ++live_.failed;
-    MetricsRegistry::instance()
-        .counter("padc_points_quarantined_total",
-                 "Points that exhausted their worker attempts")
-        .inc();
     emitEvent("point_quarantine", static_cast<std::int64_t>(index), pid,
               0, fate);
     publish(true);
@@ -266,9 +240,6 @@ FleetMonitor::workerSpawned(std::size_t slot, std::int64_t pid)
     WorkerStatus &worker = slotRef(slot);
     worker.pid = pid;
     worker.busy = false;
-    MetricsRegistry::instance()
-        .counter("padc_worker_spawns_total", "Worker processes spawned")
-        .inc();
     emitEvent("worker_spawn", -1, pid, 0,
               "slot " + std::to_string(slot));
     publish(false);
@@ -282,9 +253,6 @@ FleetMonitor::workerExited(std::size_t slot, std::int64_t pid,
     WorkerStatus &worker = slotRef(slot);
     worker.pid = -1;
     worker.busy = false;
-    MetricsRegistry::instance()
-        .counter("padc_worker_exits_total", "Worker processes reaped")
-        .inc();
     emitEvent("worker_exit", -1, pid, 0, fate);
     publish(false);
 }
@@ -295,10 +263,6 @@ FleetMonitor::workerTimedOut(std::size_t slot, std::int64_t pid,
 {
     std::lock_guard<std::mutex> lock(mutex_);
     ++slotRef(slot).kills;
-    MetricsRegistry::instance()
-        .counter("padc_worker_timeouts_total",
-                 "Workers SIGKILLed by the heartbeat watchdog")
-        .inc();
     emitEvent("worker_timeout", index, pid, 0, "heartbeat timeout");
     publish(true);
 }
@@ -307,9 +271,6 @@ void
 FleetMonitor::interruptDrain()
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    MetricsRegistry::instance()
-        .counter("padc_interrupts_total", "SIGINT/SIGTERM drains")
-        .inc();
     emitEvent("interrupt_drain", -1, -1, 0,
               "draining in-flight points");
     publish(true);

@@ -1,10 +1,9 @@
 /**
  * @file
  * FleetMonitor: the single observer the sweep executors notify
- * (DESIGN.md section 14). It fans each notification out to the three
- * observability surfaces — the process-wide MetricsRegistry, the
- * events.jsonl structured log, and the periodically atomic-renamed
- * status.json + stderr --progress line.
+ * (DESIGN.md section 14). It fans each notification out to the two
+ * observability surfaces — the events.jsonl structured log, and the
+ * periodically atomic-renamed status.json + stderr --progress line.
  *
  * Wiring follows the notePointCompleted() precedent (sim/interrupt.hh):
  * a process-global nullable pointer, installed by the driver when

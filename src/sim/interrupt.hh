@@ -6,7 +6,7 @@
  * (async-signal-safe), that the sweep layers poll between points: a
  * point that has not started when the flag rises is recorded as Failed
  * with detail "interrupted" and deliberately NOT journaled, so a
- * subsequent PADC_RESUME run retries it. Points already in flight run
+ * subsequent `--resume` run retries it. Points already in flight run
  * to completion (in-thread execution cannot be cancelled safely); the
  * process-pool supervisor instead kills its in-flight workers and
  * records their points as interrupted too.
@@ -31,9 +31,9 @@ bool interruptRequested();
 /**
  * Request a graceful stop. Async-signal-safe: only writes a lock-free
  * atomic flag, so SIGINT/SIGTERM handlers may call it directly; the
- * atomic (not plain sig_atomic_t) also makes it safe for another
- * thread -- the serve daemon's executor -- to poll interruptRequested()
- * while a handler fires.
+ * atomic (not plain sig_atomic_t) also makes it safe for the sweep
+ * pool's worker threads to poll interruptRequested() while a handler
+ * fires.
  */
 void requestInterrupt();
 

@@ -16,7 +16,6 @@
 #include <type_traits>
 #include <utility>
 
-#include "obs/metrics.hh"
 #include "obs/monitor.hh"
 #include "sim/interrupt.hh"
 #include "sim/journal.hh"
@@ -425,29 +424,6 @@ ProcessPool::available()
     return usable_;
 }
 
-bool
-ProcessPool::refresh()
-{
-    if (!spawned_)
-        return available();
-    if (!usable_)
-        return false;
-    for (Worker &worker : workers_) {
-        if (worker.alive() || worker.retired)
-            continue;
-        if (spawnWorker(&worker)) {
-            ++stats_.respawns;
-            ++profile_.respawns;
-        } else {
-            worker.retired = true;
-        }
-    }
-    // A freshly spawned worker completes its hello handshake inside the
-    // next sweep's event loop (bounded by its handshake deadline), so
-    // there is nothing to block on here.
-    return true;
-}
-
 template <typename T>
 std::vector<Result<T>>
 ProcessPool::execute(const std::vector<SweepPoint> &points,
@@ -580,12 +556,6 @@ ProcessPool::execute(const std::vector<SweepPoint> &points,
             profile_.sim_cycles += result.worker.sim_cycles;
             profile_.exec_seconds += result.worker.exec_seconds;
         }
-        // Registry hot-path instrument (overhead proven within noise
-        // by bench_micro_simspeed --obs-overhead-check).
-        obs::MetricsRegistry::instance()
-            .histogram("padc_task_ms", 250, 10,
-                       "Pool task round-trip latency, ms")
-            .sample(latency_ms);
 
         Result<T> merged;
         if constexpr (std::is_same_v<T, RunMetrics>)

@@ -1,9 +1,10 @@
 /**
  * CLI-level tests of the padc driver (in-process via driverMain):
  * argument parsing, list enumeration, unknown-selector diagnostics,
- * structured JSON output, and schema-snapshot validation of the
- * emitted BENCH_<name>.json files. PADC_SCHEMA_PATH points at the
- * checked-in tests/exp/bench_result_schema.json.
+ * structured JSON output, per-invocation resume journals, and
+ * schema-snapshot validation of the emitted BENCH_<name>.json files.
+ * PADC_SCHEMA_PATH points at the checked-in
+ * tests/exp/bench_result_schema.json.
  */
 
 #include "exp/driver.hh"
@@ -139,6 +140,24 @@ TEST(ParseDriverArgs, Rejections)
     EXPECT_TRUE(fails({"run", "smoke", "--trace-limit=1x"}));
     EXPECT_TRUE(fails({"run", "smoke", "--trace="}));
     EXPECT_TRUE(fails({"run", "smoke", "--timeseries="}));
+    EXPECT_TRUE(fails({"run", "smoke", "--queue-cap", "4"}));
+    EXPECT_TRUE(fails({"run", "smoke", "--wait"}));
+
+    // The sweep service is gone: its commands are unknown, the driver
+    // exits 2 on them, and the usage text names none of them.
+    const std::string usage = driverUsage();
+    for (const char *command : {"serve", "submit", "jobs", "cancel",
+                                "metrics"}) {
+        EXPECT_TRUE(fails({command, "/tmp/state"})) << command;
+        EXPECT_NE(error.find("unknown command"), std::string::npos)
+            << error;
+        std::string out, err;
+        EXPECT_EQ(runDriver({command, "/tmp/state"}, &out, &err), 2)
+            << command;
+        EXPECT_EQ(usage.find(command), std::string::npos) << command;
+    }
+    for (const char *flag : {"--queue-cap", "--wait"})
+        EXPECT_EQ(usage.find(flag), std::string::npos) << flag;
 }
 
 TEST(DriverList, EnumeratesEveryExperimentExactlyOnce)
@@ -264,6 +283,55 @@ validateAgainst(const JsonValue &schema, const JsonValue &value,
             validateAgainst(*items, value.array[i],
                             where + "[" + std::to_string(i) + "]");
     }
+}
+
+TEST(DriverRun, EachInvocationRecordsIntoItsOwnResumeJournal)
+{
+    const auto dir = freshOutDir("journals");
+    std::filesystem::create_directories(dir);
+    const std::string a = (dir / "a.padcjournal").string();
+    const std::string b = (dir / "b.padcjournal").string();
+    std::string out, err;
+
+    ASSERT_EQ(runDriver({"run", "smoke", "--out", dir.string(), "--resume",
+                         a},
+                        &out, &err),
+              0)
+        << err;
+    EXPECT_NE(err.find("resuming from journal '" + a +
+                       "' (0 completed points loaded)"),
+              std::string::npos)
+        << err;
+
+    // A second run in the same process with another path must neither
+    // be ignored nor reuse the first journal.
+    ASSERT_EQ(runDriver({"run", "smoke", "--out", dir.string(), "--resume",
+                         b},
+                        &out, &err),
+              0)
+        << err;
+    EXPECT_EQ(err.find("ignored"), std::string::npos) << err;
+    EXPECT_NE(err.find("resuming from journal '" + b +
+                       "' (0 completed points loaded)"),
+              std::string::npos)
+        << err;
+    ASSERT_TRUE(std::filesystem::exists(b));
+    EXPECT_GT(std::filesystem::file_size(b), 0u);
+
+    // Both journals hold the two smoke points: a rerun on either
+    // replays them.
+    for (const std::string &path : {a, b}) {
+        ASSERT_EQ(runDriver({"run", "smoke", "--out", dir.string(),
+                             "--resume", path},
+                            &out, &err),
+                  0)
+            << err;
+        EXPECT_NE(err.find("resuming from journal '" + path +
+                           "' (2 completed points loaded)"),
+                  std::string::npos)
+            << err;
+    }
+    std::filesystem::remove_all(dir);
 }
 
 TEST(DriverRun, EmittedFileMatchesSchemaSnapshot)
