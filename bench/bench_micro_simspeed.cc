@@ -24,7 +24,6 @@
 #include "dram/channel.hh"
 #include "memctrl/controller.hh"
 #include "prefetch/stream_prefetcher.hh"
-#include "core/trace_file.hh"
 #include "sim/experiment.hh"
 #include "sim/parallel.hh"
 #include "telemetry/telemetry.hh"
@@ -137,28 +136,6 @@ BM_TraceDecode(benchmark::State &state)
     std::remove(path.c_str());
 }
 BENCHMARK(BM_TraceDecode)->Unit(benchmark::kMillisecond);
-
-/** Baseline: decode of the uncompressed fixed-record v1 format. */
-void
-BM_TraceDecodeV1(benchmark::State &state)
-{
-    const std::string path = "/tmp/padc_bench_v1.trc";
-    std::string error;
-    if (!core::writeTraceFile(path, benchTraceOps(), &error)) {
-        state.SkipWithError(error.c_str());
-        return;
-    }
-    for (auto _ : state) {
-        std::vector<core::TraceOp> ops;
-        if (!core::readTraceFile(path, &ops, &error))
-            state.SkipWithError(error.c_str());
-        benchmark::DoNotOptimize(ops.size());
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            static_cast<std::int64_t>(benchTraceOps().size()));
-    std::remove(path.c_str());
-}
-BENCHMARK(BM_TraceDecodeV1)->Unit(benchmark::kMillisecond);
 
 /** Discards completions; the scheduler benchmarks only need DRAM work. */
 class NullHandler : public memctrl::ResponseHandler
@@ -297,7 +274,7 @@ BENCHMARK(BM_ScheduleReadTelemetry)->Arg(4)->Arg(32)->Arg(128);
 /**
  * A small (policy x mix) sweep through the shared thread pool; compare
  * against BM_SingleCoreSimulation-style serial cost to see the fan-out
- * win (thread count via PADC_THREADS).
+ * win (the pool is sized to the hardware concurrency).
  */
 void
 BM_ParallelSweep(benchmark::State &state)

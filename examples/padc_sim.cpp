@@ -24,9 +24,9 @@
  *   --seed N          workload seed salt (default 0)
  *   --stats           dump the full raw statistics set
  *   --record FILE N   capture N trace ops of the first profile to FILE
- *                     (PADCTRC1 format) and exit
- *   --replay FILE     drive core 0 from a recorded trace file instead
- *                     of its profile generator
+ *                     (PADCTRC2 format) and exit
+ *   --replay FILE     drive core 0 from a recorded trace file (either
+ *                     format) instead of its profile generator
  *   --list            list available workload profiles and exit
  *
  * Profiles default to the paper's mixed case study when omitted; the
@@ -39,9 +39,10 @@
 #include <string>
 #include <vector>
 
-#include "core/trace_file.hh"
 #include "sim/experiment.hh"
 #include "sim/metrics.hh"
+#include "trace/format.hh"
+#include "trace/stream.hh"
 #include "workload/mixes.hh"
 #include "workload/profile.hh"
 
@@ -237,26 +238,31 @@ main(int argc, char **argv)
     if (!opt.record_path.empty()) {
         workload::SyntheticTrace generator(
             workload::traceParamsFor(opt.mix, 0, run.mix_seed));
-        const auto ops =
-            core::captureTrace(generator, opt.record_ops);
-        if (!core::writeTraceFile(opt.record_path, ops)) {
-            std::fprintf(stderr, "cannot write %s\n",
-                         opt.record_path.c_str());
+        trace::TraceWriter writer(opt.record_path);
+        for (std::uint64_t i = 0; i < opt.record_ops; ++i)
+            writer.append(generator.next());
+        std::string error;
+        if (!writer.close(&error)) {
+            std::fprintf(stderr, "cannot write %s: %s\n",
+                         opt.record_path.c_str(), error.c_str());
             return 1;
         }
-        std::printf("recorded %zu ops of %s to %s\n", ops.size(),
+        std::printf("recorded %llu ops of %s to %s\n",
+                    static_cast<unsigned long long>(writer.opCount()),
                     opt.mix[0].c_str(), opt.record_path.c_str());
         return 0;
     }
 
     // Build traces and run through the public System API so --stats can
     // inspect the live system afterwards.
-    std::unique_ptr<core::FileTrace> replay;
+    std::unique_ptr<trace::StreamingFileTrace> replay;
     if (!opt.replay_path.empty()) {
-        replay = std::make_unique<core::FileTrace>(opt.replay_path);
+        replay = std::make_unique<trace::StreamingFileTrace>(
+            opt.replay_path);
         if (!replay->ok()) {
-            std::fprintf(stderr, "cannot load trace %s\n",
-                         opt.replay_path.c_str());
+            std::fprintf(stderr, "cannot load trace %s: %s\n",
+                         opt.replay_path.c_str(),
+                         replay->error().c_str());
             return 1;
         }
     }

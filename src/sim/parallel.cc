@@ -1,8 +1,5 @@
 #include "sim/parallel.hh"
 
-#include <cerrno>
-#include <cstdio>
-#include <cstdlib>
 #include <utility>
 
 namespace padc::sim
@@ -11,29 +8,8 @@ namespace padc::sim
 unsigned
 defaultThreadCount()
 {
-    const unsigned hw_raw = std::thread::hardware_concurrency();
-    const unsigned hw = hw_raw >= 1 ? hw_raw : 1;
-    const char *env = std::getenv("PADC_THREADS");
-    if (env == nullptr)
-        return hw;
-
-    char *end = nullptr;
-    errno = 0;
-    const long parsed = std::strtol(env, &end, 10);
-    if (end == env || *end != '\0' || errno == ERANGE || parsed < 1) {
-        std::fprintf(stderr,
-                     "padc: warning: invalid PADC_THREADS=\"%s\" "
-                     "(want a positive integer); using %u threads\n",
-                     env, hw);
-        return hw;
-    }
-    if (parsed > static_cast<long>(kMaxThreads)) {
-        std::fprintf(stderr,
-                     "padc: warning: PADC_THREADS=%ld clamped to %u\n",
-                     parsed, kMaxThreads);
-        return kMaxThreads;
-    }
-    return static_cast<unsigned>(parsed);
+    const unsigned hw = std::thread::hardware_concurrency();
+    return hw >= 1 ? hw : 1;
 }
 
 ParallelExperimentRunner::ParallelExperimentRunner(unsigned threads)

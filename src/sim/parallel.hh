@@ -14,8 +14,8 @@
  * runs exactly once, and results are collected into a vector ordered by
  * index -- never by completion time. Thread count (including 1) is
  * therefore purely a wall-clock knob; it can never change a reported
- * number. The PADC_THREADS environment variable overrides the default
- * worker count (hardware concurrency).
+ * number. The default worker count is the hardware concurrency;
+ * `padc run --threads N` overrides it.
  *
  * Failure contract: a job that throws never terminates the process,
  * never deadlocks the batch, and never poisons the pool. Exceptions are
@@ -42,16 +42,12 @@ namespace padc::sim
 {
 
 /**
- * Worker threads to use by default: the PADC_THREADS environment
- * variable if it parses as a whole positive integer (clamped to
- * kMaxThreads), else std::thread::hardware_concurrency. Invalid values
- * (trailing garbage, overflow, zero, negative) fall back to hardware
- * concurrency with a one-line warning on stderr rather than silently
- * serializing a sweep.
+ * Worker threads to use by default: std::thread::hardware_concurrency,
+ * or 1 when that is unknown.
  */
 unsigned defaultThreadCount();
 
-/** Upper bound accepted from PADC_THREADS. */
+/** Upper bound accepted from `padc run --threads`. */
 inline constexpr unsigned kMaxThreads = 1024;
 
 /**

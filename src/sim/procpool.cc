@@ -38,8 +38,8 @@ nowMs()
 
 /**
  * Strictly parsed unsigned environment override, clamped to
- * [min, max]; malformed values warn and keep the default (the
- * PADC_THREADS convention: never guess).
+ * [min, max]; malformed values warn and keep the default (never
+ * guess).
  */
 std::uint64_t
 envU64(const char *name, std::uint64_t fallback, std::uint64_t min_value,

@@ -17,9 +17,9 @@ namespace
 
 /**
  * PADC_NO_EVENT_SKIP=1 forces the legacy cycle-by-cycle loop, for
- * bisecting any future skip-on/skip-off divergence. Same strict parse
- * as PADC_THREADS: reject trailing garbage and out-of-range values
- * instead of silently misreading them.
+ * bisecting any future skip-on/skip-off divergence. The parse is
+ * strict: it rejects trailing garbage and out-of-range values instead
+ * of silently misreading them.
  */
 bool
 envNoEventSkip()
@@ -725,19 +725,8 @@ System::run(std::uint64_t instructions_per_core, std::uint64_t max_cycles,
         tracker_->tick(now_);
         if (now_ >= next_interval_)
             intervalTick(now_);
-        if ((now_ & (telemetry::kSchedulerSampleInterval - 1)) == 0) {
-            // 1-in-1024 sampled wall-clock timing of the scheduler hot
-            // path (extrapolated in the profiler snapshot); two steady-
-            // clock reads per kilocycle, negligible against a cycle of
-            // simulation work.
-            telemetry::WallProfiler::Scope scope(
-                telemetry::ProfilePhase::SchedulerSample);
-            for (auto &controller : controllers_)
-                controller->tick(now_);
-        } else {
-            for (auto &controller : controllers_)
-                controller->tick(now_);
-        }
+        for (auto &controller : controllers_)
+            controller->tick(now_);
 
         bool all_done = true;
         for (CoreId i = 0; i < config_.num_cores; ++i) {

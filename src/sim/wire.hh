@@ -186,7 +186,7 @@ struct FaultSpec
 /**
  * Parse a PADC_FAULT_INJECT value. nullptr/empty parses as None;
  * malformed input warns on stderr once per call and parses as None
- * (mirroring the strict PADC_THREADS convention: never guess).
+ * (never guess).
  */
 FaultSpec parseFaultSpec(const char *text);
 

@@ -6,7 +6,6 @@
 #include <memory>
 
 #include "common/atomic_file.hh"
-#include "core/trace_file.hh"
 
 namespace padc::trace
 {
@@ -15,9 +14,16 @@ namespace
 {
 
 constexpr char kMagicV2[8] = {'P', 'A', 'D', 'C', 'T', 'R', 'C', '2'};
-constexpr char kMagicV1[8] = {'P', 'A', 'D', 'C', 'T', 'R', 'C', '1'};
 constexpr std::uint32_t kHeaderSize = 40;
 constexpr std::uint32_t kBlockHeaderSize = 16;
+
+/**
+ * The read-only v1 format: a 16-byte header ("PADCTRC1" + u64
+ * op_count), then one 24-byte record per op: addr u64 | pc u64 |
+ * compute_gap u32 | flags u32 (bit0 = is_load, bit1 = dependent), all
+ * little-endian. The file size must equal 16 + 24 * op_count exactly.
+ */
+constexpr char kMagicV1[8] = {'P', 'A', 'D', 'C', 'T', 'R', 'C', '1'};
 constexpr std::size_t kV1RecordSize = 24;
 constexpr std::size_t kV1HeaderSize = 16;
 
@@ -416,6 +422,70 @@ readV2BlockAt(std::FILE *file, const std::string &path,
 }
 
 /**
+ * verifyTraceFile's footprint statistics: an open-addressed set of the
+ * distinct cache lines touched, plus the load/store split.
+ */
+class Footprint
+{
+  public:
+    void
+    add(const core::TraceOp &op, TraceFileInfo *info)
+    {
+        if (op.is_load)
+            ++info->loads;
+        else
+            ++info->stores;
+        if (lines_.empty()) {
+            lines_.assign(1024, 0);
+            used_.assign(1024, false);
+        }
+        if (distinct_ * 2 >= lines_.size())
+            grow();
+        const std::uint64_t line = op.addr / kLineBytes;
+        std::size_t slot = slotOf(line, lines_.size());
+        while (used_[slot]) {
+            if (lines_[slot] == line)
+                return;
+            slot = (slot + 1) & (lines_.size() - 1);
+        }
+        lines_[slot] = line;
+        used_[slot] = true;
+        ++distinct_;
+    }
+
+    std::uint64_t distinct() const { return distinct_; }
+
+  private:
+    static std::size_t
+    slotOf(std::uint64_t line, std::size_t size)
+    {
+        return (line * 0x9E3779B97F4A7C15ULL) & (size - 1);
+    }
+
+    void
+    grow()
+    {
+        std::vector<std::uint64_t> grown(lines_.size() * 2, 0);
+        std::vector<bool> grown_used(lines_.size() * 2, false);
+        for (std::size_t i = 0; i < lines_.size(); ++i) {
+            if (!used_[i])
+                continue;
+            std::size_t slot = slotOf(lines_[i], grown.size());
+            while (grown_used[slot])
+                slot = (slot + 1) & (grown.size() - 1);
+            grown[slot] = lines_[i];
+            grown_used[slot] = true;
+        }
+        lines_.swap(grown);
+        used_.swap(grown_used);
+    }
+
+    std::vector<std::uint64_t> lines_;
+    std::vector<bool> used_;
+    std::uint64_t distinct_ = 0;
+};
+
+/**
  * Walk every block of an open v2 file, checking all structural
  * invariants (index agreement, op totals, whole-file checksum).
  * @param ops when non-null, receives every decoded operation; when
@@ -433,43 +503,7 @@ walkV2(std::FILE *file, const std::string &path, const V2Header &header,
     std::uint64_t ops_seen = 0;
     std::uint64_t checksum = kFnvTruncatedOffset;
 
-    // Footprint accounting: open-addressed set of line addresses.
-    std::vector<std::uint64_t> lines;
-    std::vector<bool> used;
-    std::uint64_t distinct = 0;
-    if (info != nullptr) {
-        lines.assign(1024, 0);
-        used.assign(1024, false);
-    }
-    const auto touch = [&](Addr addr) {
-        const std::uint64_t line = addr / kLineBytes;
-        if (distinct * 2 >= lines.size()) {
-            std::vector<std::uint64_t> grown(lines.size() * 2, 0);
-            std::vector<bool> grown_used(lines.size() * 2, false);
-            for (std::size_t i = 0; i < lines.size(); ++i) {
-                if (!used[i])
-                    continue;
-                std::size_t slot = (lines[i] * 0x9E3779B97F4A7C15ULL) &
-                                   (grown.size() - 1);
-                while (grown_used[slot])
-                    slot = (slot + 1) & (grown.size() - 1);
-                grown[slot] = lines[i];
-                grown_used[slot] = true;
-            }
-            lines.swap(grown);
-            used.swap(grown_used);
-        }
-        std::size_t slot =
-            (line * 0x9E3779B97F4A7C15ULL) & (lines.size() - 1);
-        while (used[slot]) {
-            if (lines[slot] == line)
-                return;
-            slot = (slot + 1) & (lines.size() - 1);
-        }
-        lines[slot] = line;
-        used[slot] = true;
-        ++distinct;
-    };
+    Footprint footprint;
 
     for (std::size_t b = 0; b < index.size(); ++b) {
         if (index[b].offset != offset) {
@@ -500,13 +534,8 @@ walkV2(std::FILE *file, const std::string &path, const V2Header &header,
         if (info != nullptr) {
             const std::vector<core::TraceOp> &decoded = *sink;
             for (std::size_t i = decoded.size() - block_ops;
-                 i < decoded.size(); ++i) {
-                touch(decoded[i].addr);
-                if (decoded[i].is_load)
-                    ++info->loads;
-                else
-                    ++info->stores;
-            }
+                 i < decoded.size(); ++i)
+                footprint.add(decoded[i], info);
         }
     }
 
@@ -529,7 +558,7 @@ walkV2(std::FILE *file, const std::string &path, const V2Header &header,
                                         "checksum: corrupt");
     }
     if (info != nullptr)
-        info->distinct_lines = distinct;
+        info->distinct_lines = footprint.distinct();
     return true;
 }
 
@@ -771,6 +800,31 @@ BlockReader::readBlock(std::uint64_t block, std::vector<core::TraceOp> *ops,
 
 // --- one-shot API -----------------------------------------------------
 
+namespace
+{
+
+/**
+ * Decode a v1 file block by block through BlockReader, the one v1
+ * decoder, handing each block's operations to @p visit.
+ */
+template <typename Visit>
+bool
+walkV1(const std::string &path, std::string *error, Visit visit)
+{
+    BlockReader reader(path);
+    if (!reader.ok())
+        return fail(error, reader.error());
+    std::vector<core::TraceOp> block;
+    for (std::uint64_t b = 0; b < reader.numBlocks(); ++b) {
+        if (!reader.readBlock(b, &block, error))
+            return false;
+        visit(block);
+    }
+    return true;
+}
+
+} // namespace
+
 bool
 writeTraceFileV2(const std::string &path,
                  const std::vector<core::TraceOp> &ops, std::string *error,
@@ -811,8 +865,16 @@ readTraceFileAny(const std::string &path, std::vector<core::TraceOp> *ops,
     char magic[8];
     if (!sniffMagic(path, magic, error))
         return false;
-    if (std::memcmp(magic, kMagicV1, 8) == 0)
-        return core::readTraceFile(path, ops, error);
+    if (std::memcmp(magic, kMagicV1, 8) == 0) {
+        ops->clear();
+        const bool read =
+            walkV1(path, error, [&](const std::vector<core::TraceOp> &b) {
+                ops->insert(ops->end(), b.begin(), b.end());
+            });
+        if (!read)
+            ops->clear();
+        return read;
+    }
     if (std::memcmp(magic, kMagicV2, 8) == 0)
         return readTraceFileV2(path, ops, error);
     return fail(error, "'" + path + "' is neither a PADCTRC1 nor a "
@@ -844,9 +906,12 @@ probeTraceFile(const std::string &path, TraceFileInfo *info,
         const long size = fileSize(file.get());
         if (size < 0)
             return fail(error, "cannot seek in '" + path + "'");
-        const std::uint64_t expected =
-            kV1HeaderSize + count * kV1RecordSize;
-        if (static_cast<std::uint64_t>(size) != expected) {
+        // Division only: `header + count * record` wraps for huge
+        // counts, so a corrupt header could otherwise match the size.
+        const std::uint64_t usize = static_cast<std::uint64_t>(size);
+        if (usize < kV1HeaderSize ||
+            (usize - kV1HeaderSize) % kV1RecordSize != 0 ||
+            count != (usize - kV1HeaderSize) / kV1RecordSize) {
             return fail(error,
                         "'" + path + "' holds " + std::to_string(size) +
                             " bytes but its header promises " +
@@ -886,38 +951,34 @@ verifyTraceFile(const std::string &path, TraceFileInfo *info,
     if (!probeTraceFile(path, info, error))
         return false;
 
-    FilePtr file(std::fopen(path.c_str(), "rb"));
-    if (file == nullptr)
-        return fail(error, "cannot open '" + path + "' for reading");
-
     if (info->format == TraceFormat::V1) {
-        // v1 stores no checksum; compute one over the record bytes so
-        // the corpus manifest can still pin the file's content.
-        std::vector<core::TraceOp> ops;
-        if (!core::readTraceFile(path, &ops, error))
-            return false;
+        // v1 stores no checksum; compute one over the (canonical)
+        // record bytes so the corpus manifest can still pin the file's
+        // content.
         std::uint64_t checksum = kFnvTruncatedOffset;
-        std::vector<std::uint64_t> lines;
-        for (const core::TraceOp &op : ops) {
-            unsigned char record[kV1RecordSize];
-            putU64(record, op.addr);
-            putU64(record + 8, op.pc);
-            putU32(record + 16, op.compute_gap);
-            putU32(record + 20, (op.is_load ? 1u : 0u) |
-                                    (op.dependent ? 2u : 0u));
-            checksum = fnv1a(record, sizeof(record), checksum);
-            lines.push_back(op.addr / kLineBytes);
-            if (op.is_load)
-                ++info->loads;
-            else
-                ++info->stores;
-        }
-        std::sort(lines.begin(), lines.end());
-        info->distinct_lines = static_cast<std::uint64_t>(
-            std::unique(lines.begin(), lines.end()) - lines.begin());
+        Footprint footprint;
+        const auto tally = [&](const std::vector<core::TraceOp> &block) {
+            for (const core::TraceOp &op : block) {
+                unsigned char record[kV1RecordSize];
+                putU64(record, op.addr);
+                putU64(record + 8, op.pc);
+                putU32(record + 16, op.compute_gap);
+                putU32(record + 20, (op.is_load ? 1u : 0u) |
+                                        (op.dependent ? 2u : 0u));
+                checksum = fnv1a(record, sizeof(record), checksum);
+                footprint.add(op, info);
+            }
+        };
+        if (!walkV1(path, error, tally))
+            return false;
+        info->distinct_lines = footprint.distinct();
         info->checksum = checksum;
         return true;
     }
+
+    FilePtr file(std::fopen(path.c_str(), "rb"));
+    if (file == nullptr)
+        return fail(error, "cannot open '" + path + "' for reading");
 
     V2Header header;
     if (!readV2Header(file.get(), path, &header, error))

@@ -3,8 +3,8 @@
  * PADCTRC2: the compact on-disk workload-trace format, plus format
  * probing/verification shared by the corpus tooling.
  *
- * The v1 format (core/trace_file.hh) spends a fixed 24 bytes per
- * operation. PADCTRC2 delta-encodes each operation against its
+ * The v1 format spends a fixed 24 bytes per operation.
+ * PADCTRC2 delta-encodes each operation against its
  * predecessor and varint-packs the result, cutting generated traces to
  * a few bytes per op (>= 2x smaller; typically 4-5x), while remaining
  * integrity-checked end to end and decodable block by block with
@@ -57,6 +57,13 @@
  * Varints are LEB128 (7 bits per byte, high bit = continue, max 10
  * bytes for a u64); zigzag maps signed deltas to unsigned
  * ((n << 1) ^ (n >> 63)) so small negative strides stay short.
+ *
+ * ## The v1 format (read-only)
+ *
+ * Nothing writes v1 any more; existing files stay readable, and
+ * BlockReader holds the only v1 decoder (readTraceFileAny,
+ * verifyTraceFile and StreamingFileTrace all go through it). Its
+ * byte layout is documented beside that decoder in format.cc.
  */
 
 #ifndef PADC_TRACE_FORMAT_HH
@@ -75,7 +82,7 @@ namespace padc::trace
 /** On-disk trace flavors the toolchain reads. */
 enum class TraceFormat : std::uint8_t
 {
-    V1, ///< PADCTRC1: fixed 24-byte records (core/trace_file.hh)
+    V1, ///< v1: fixed 24-byte records, read-only (see above)
     V2, ///< PADCTRC2: delta+varint blocks (this file)
 };
 
@@ -168,7 +175,7 @@ bool readTraceFileV2(const std::string &path,
 
 /**
  * Read a trace of either format, dispatching on the magic (v1 files
- * stay readable forever; see core/trace_file.hh).
+ * stay readable forever, decoded through BlockReader).
  */
 bool readTraceFileAny(const std::string &path,
                       std::vector<core::TraceOp> *ops,

@@ -1,7 +1,7 @@
 /**
  * @file
  * Streaming trace replay: a core::TraceSource over an on-disk trace
- * file (PADCTRC1 or PADCTRC2) that decodes block by block with bounded
+ * file (v1 or PADCTRC2) that decodes block by block with bounded
  * memory instead of loading the whole file, loops at end-of-trace to
  * preserve the infinite-stream contract, and replays the exact same
  * sequence again after reset().

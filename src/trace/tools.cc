@@ -258,7 +258,7 @@ convertCommand(ArgCursor args)
         if (!importChampSim(in, &ops, &error, &stats))
             return operationError(in + ": " + error);
     } else if (format == "trace") {
-        // Transcode an existing PADCTRC1/2 file (v1 -> v2 shrinks it;
+        // Transcode an existing v1/v2 trace file (v1 -> v2 shrinks it;
         // v2 -> v2 re-blocks).
         if (!readTraceFileAny(in, &ops, &error))
             return operationError(in + ": " + error);

@@ -15,7 +15,7 @@
  *   padc trace convert --in FILE --format csv|champsim|trace
  *                      --out DIR --name NAME [--block-ops N]
  *       Normalize an external trace (text/CSV memtrace, ChampSim-style
- *       records) or transcode an existing PADCTRC1/2 file to PADCTRC2
+ *       records) or transcode an existing v1/v2 trace file to PADCTRC2
  *       in the corpus, upserting the manifest.
  *
  *   padc trace info FILE...

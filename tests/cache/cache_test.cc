@@ -205,8 +205,9 @@ TEST(CacheTest, RandomReplacementIsDeterministic)
         const EvictResult ea = a.fill(addr, 0, 0, false, false, 0);
         const EvictResult eb = b.fill(addr, 0, 0, false, false, 0);
         EXPECT_EQ(ea.valid, eb.valid);
-        if (ea.valid)
+        if (ea.valid) {
             EXPECT_EQ(ea.line_addr, eb.line_addr);
+        }
     }
 }
 

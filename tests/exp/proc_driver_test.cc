@@ -308,10 +308,9 @@ TEST(ProcDriver, KilledSupervisorResumesExactlyOnce)
 TEST(ProcDriver, TestInterruptHookWritesPartialBenchAndExits130)
 {
     const auto dir = freshDir("interrupt");
-    EXPECT_EQ(runDriver({"run", "smoke_grid", "--workers", "0", "--out",
-                         dir.string()},
-                        {"PADC_TEST_INTERRUPT_AFTER=1",
-                         "PADC_THREADS=1"},
+    EXPECT_EQ(runDriver({"run", "smoke_grid", "--workers", "0",
+                         "--threads", "1", "--out", dir.string()},
+                        {"PADC_TEST_INTERRUPT_AFTER=1"},
                         (dir / "log.txt").string()),
               130);
 

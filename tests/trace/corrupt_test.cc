@@ -4,6 +4,8 @@
  * can suffer must produce a descriptive error, never a crash, hang, or
  * silent partial decode. Exercised through both the whole-file reader
  * and the full verifier (and, where relevant, the streaming path).
+ * The v1 cases damage the committed v1 fixture and go through every
+ * reader that accepts v1.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +19,7 @@
 
 #include "trace/format.hh"
 #include "trace/stream.hh"
+#include "v1_fixture.hh"
 #include "workload/generator.hh"
 
 namespace padc::trace
@@ -279,6 +282,105 @@ TEST_F(CorruptTest, EveryPrefixIsRejectedOrEmpty)
             << "prefix of " << keep << " bytes decoded";
         EXPECT_FALSE(error.empty()) << "prefix " << keep;
     }
+}
+
+// --- v1 ---------------------------------------------------------------
+
+/** The matrix above, on the bytes of the committed v1 fixture. */
+class CorruptV1Test : public CorruptTest
+{
+  protected:
+    void
+    SetUp() override
+    {
+        CorruptTest::SetUp();
+        std::ifstream in(v1FixturePath(), std::ios::binary);
+        bytes_.assign(std::istreambuf_iterator<char>(in),
+                      std::istreambuf_iterator<char>());
+        ASSERT_EQ(bytes_.size(), kV1FixtureBytes);
+    }
+
+    /**
+     * Expect the prober, the whole-file reader, the verifier and the
+     * streaming reader to reject the current file, each with a message
+     * containing @p needle.
+     */
+    void
+    expectV1Rejected(const std::string &needle) const
+    {
+        TraceFileInfo info;
+        std::string error;
+        EXPECT_FALSE(probeTraceFile(path_, &info, &error));
+        EXPECT_NE(error.find(needle), std::string::npos)
+            << "probe error: " << error;
+
+        std::vector<core::TraceOp> ops;
+        error.clear();
+        EXPECT_FALSE(readTraceFileAny(path_, &ops, &error));
+        EXPECT_TRUE(ops.empty());
+        EXPECT_NE(error.find(needle), std::string::npos)
+            << "reader error: " << error;
+
+        error.clear();
+        EXPECT_FALSE(verifyTraceFile(path_, &info, &error));
+        EXPECT_NE(error.find(needle), std::string::npos)
+            << "verifier error: " << error;
+
+        StreamingFileTrace trace(path_);
+        EXPECT_FALSE(trace.ok());
+        EXPECT_NE(trace.error().find(needle), std::string::npos)
+            << "stream error: " << trace.error();
+    }
+};
+
+TEST_F(CorruptV1Test, BadMagicRejected)
+{
+    std::string bytes = bytes_;
+    bytes[0] = 'X';
+    rewrite(bytes);
+    expectV1Rejected("bad magic");
+}
+
+TEST_F(CorruptV1Test, ShortHeaderRejected)
+{
+    for (const std::size_t keep : {8u, 12u, 15u}) {
+        rewrite(bytes_.substr(0, keep));
+        expectV1Rejected("header");
+    }
+}
+
+TEST_F(CorruptV1Test, TruncationRejected)
+{
+    // Chop the last record in half.
+    rewrite(bytes_.substr(0, bytes_.size() - 10));
+    expectV1Rejected("truncated or corrupt");
+}
+
+TEST_F(CorruptV1Test, TrailingGarbageRejected)
+{
+    rewrite(bytes_ + "extra bytes past the promised op count");
+    expectV1Rejected("truncated or corrupt");
+}
+
+TEST_F(CorruptV1Test, CorruptCountRejectedBeforeAllocation)
+{
+    // An absurd op count must fail the size check up front instead of
+    // attempting a giant reserve().
+    std::string bytes = bytes_;
+    putU64At(&bytes, 8, 0x7FFFFFFFFFFFFFFFULL);
+    rewrite(bytes);
+    expectV1Rejected("promises");
+}
+
+TEST_F(CorruptV1Test, WrappedOpCountRejected)
+{
+    // A header plus one record claiming 2^61 + 1 ops: 16 + 24 * count
+    // wraps to exactly the 40 bytes present, so only a check that never
+    // multiplies the count can reject it.
+    std::string bytes = bytes_.substr(0, 16 + 24);
+    putU64At(&bytes, 8, (1ULL << 61) + 1);
+    rewrite(bytes);
+    expectV1Rejected("truncated or corrupt");
 }
 
 } // namespace

@@ -12,8 +12,8 @@
 #include <filesystem>
 #include <fstream>
 
-#include "core/trace_file.hh"
 #include "trace/format.hh"
+#include "v1_fixture.hh"
 #include "workload/generator.hh"
 
 namespace padc::trace
@@ -29,19 +29,15 @@ class FormatTest : public ::testing::Test
     {
         path_ = ::testing::TempDir() + "padc_format_test." +
                 std::to_string(::getpid()) + ".trc";
-        v1_path_ = ::testing::TempDir() + "padc_format_test_v1." +
-                   std::to_string(::getpid()) + ".trc";
     }
 
     void
     TearDown() override
     {
         std::remove(path_.c_str());
-        std::remove(v1_path_.c_str());
     }
 
     std::string path_;
-    std::string v1_path_;
 };
 
 std::vector<core::TraceOp>
@@ -211,9 +207,12 @@ TEST_F(FormatTest, AtLeastTwiceAsSmallAsV1OnGeneratedTraces)
 {
     const auto ops = generatedOps(50000);
     std::string error;
-    ASSERT_TRUE(core::writeTraceFile(v1_path_, ops, &error)) << error;
     ASSERT_TRUE(writeTraceFileV2(path_, ops, &error)) << error;
-    const auto v1_size = std::filesystem::file_size(v1_path_);
+    // v1 spends a 16-byte header plus 24 bytes per op; the fixture,
+    // written by the former v1 writer, has exactly that size.
+    ASSERT_EQ(std::filesystem::file_size(v1FixturePath()),
+              16 + 24 * kV1FixtureOps);
+    const std::uint64_t v1_size = 16 + 24 * ops.size();
     const auto v2_size = std::filesystem::file_size(path_);
     // The headline claim: >= 2x smaller than 24-byte fixed records.
     EXPECT_LE(v2_size * 2, v1_size)
@@ -222,14 +221,14 @@ TEST_F(FormatTest, AtLeastTwiceAsSmallAsV1OnGeneratedTraces)
 
 TEST_F(FormatTest, ReadAnyDispatchesOnMagic)
 {
-    const auto ops = sampleOps();
+    const auto ops = v1FixtureOps();
     std::string error;
-    ASSERT_TRUE(core::writeTraceFile(v1_path_, ops, &error)) << error;
     ASSERT_TRUE(writeTraceFileV2(path_, ops, &error)) << error;
 
     std::vector<core::TraceOp> from_v1;
     std::vector<core::TraceOp> from_v2;
-    ASSERT_TRUE(readTraceFileAny(v1_path_, &from_v1, &error)) << error;
+    ASSERT_TRUE(readTraceFileAny(v1FixturePath(), &from_v1, &error))
+        << error;
     ASSERT_TRUE(readTraceFileAny(path_, &from_v2, &error)) << error;
     expectSameOps(from_v1, ops);
     expectSameOps(from_v2, ops);
@@ -238,12 +237,14 @@ TEST_F(FormatTest, ReadAnyDispatchesOnMagic)
 TEST_F(FormatTest, ProbeIdentifiesV1)
 {
     std::string error;
-    ASSERT_TRUE(core::writeTraceFile(v1_path_, sampleOps(), &error))
-        << error;
     TraceFileInfo info;
-    ASSERT_TRUE(probeTraceFile(v1_path_, &info, &error)) << error;
+    ASSERT_TRUE(probeTraceFile(v1FixturePath(), &info, &error)) << error;
     EXPECT_EQ(info.format, TraceFormat::V1);
-    EXPECT_EQ(info.op_count, sampleOps().size());
+    EXPECT_EQ(info.op_count, kV1FixtureOps);
+    EXPECT_EQ(info.file_bytes, kV1FixtureBytes);
+    EXPECT_EQ(info.block_ops, 0u);
+    EXPECT_EQ(info.num_blocks, 0u);
+    EXPECT_EQ(info.checksum, 0u); // v1 stores none; verify computes it
 }
 
 TEST_F(FormatTest, VerifyFillsFootprint)
@@ -267,14 +268,15 @@ TEST_F(FormatTest, VerifyFillsFootprint)
 TEST_F(FormatTest, VerifyWorksOnV1Too)
 {
     std::string error;
-    ASSERT_TRUE(core::writeTraceFile(v1_path_, sampleOps(), &error))
-        << error;
     TraceFileInfo info;
-    ASSERT_TRUE(verifyTraceFile(v1_path_, &info, &error)) << error;
+    ASSERT_TRUE(verifyTraceFile(v1FixturePath(), &info, &error)) << error;
     EXPECT_EQ(info.format, TraceFormat::V1);
-    EXPECT_EQ(info.op_count, sampleOps().size());
-    EXPECT_NE(info.checksum, 0u);
-    EXPECT_GT(info.distinct_lines, 0u);
+    EXPECT_EQ(info.op_count, kV1FixtureOps);
+    EXPECT_EQ(info.file_bytes, kV1FixtureBytes);
+    EXPECT_EQ(info.checksum, kV1FixtureChecksum);
+    EXPECT_EQ(info.distinct_lines, kV1FixtureDistinctLines);
+    EXPECT_EQ(info.loads, kV1FixtureLoads);
+    EXPECT_EQ(info.stores, kV1FixtureStores);
 }
 
 TEST_F(FormatTest, NoTmpFileLeftBehindAfterSuccess)
@@ -289,8 +291,23 @@ TEST_F(FormatTest, FailedWriteLeavesNoFile)
     std::string error;
     EXPECT_FALSE(
         writeTraceFileV2("/nonexistent-dir/padc.trc", sampleOps(), &error));
-    EXPECT_FALSE(error.empty());
+    EXPECT_NE(error.find("cannot open"), std::string::npos) << error;
     EXPECT_FALSE(std::filesystem::exists("/nonexistent-dir/padc.trc"));
+}
+
+TEST_F(FormatTest, FailedCommitCleansUpTmpAndKeepsDestination)
+{
+    // Destination is a directory, so the final rename cannot succeed;
+    // the write must fail without leaving its temp sibling behind or
+    // disturbing what already sits at the destination path.
+    const std::string dir = path_ + ".dir";
+    std::filesystem::create_directories(dir + "/occupied");
+    std::string error;
+    EXPECT_FALSE(writeTraceFileV2(dir, sampleOps(), &error));
+    EXPECT_FALSE(error.empty());
+    EXPECT_FALSE(std::filesystem::exists(dir + ".tmp"));
+    EXPECT_TRUE(std::filesystem::is_directory(dir + "/occupied"));
+    std::filesystem::remove_all(dir);
 }
 
 TEST(FnvTest, ChainingMatchesOneShot)

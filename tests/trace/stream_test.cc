@@ -10,9 +10,9 @@
 #include <unistd.h>
 #include <cstdio>
 
-#include "core/trace_file.hh"
 #include "trace/format.hh"
 #include "trace/stream.hh"
+#include "v1_fixture.hh"
 #include "workload/generator.hh"
 
 namespace padc::trace
@@ -107,11 +107,8 @@ TEST_F(StreamTest, ResetReproducesExactly)
 
 TEST_F(StreamTest, StreamsV1FilesToo)
 {
-    const auto ops = generatedOps(500);
-    std::string error;
-    ASSERT_TRUE(core::writeTraceFile(path_, ops, &error)) << error;
-
-    StreamingFileTrace trace(path_);
+    const auto ops = v1FixtureOps();
+    StreamingFileTrace trace(v1FixturePath());
     ASSERT_TRUE(trace.ok()) << trace.error();
     EXPECT_EQ(trace.format(), TraceFormat::V1);
     EXPECT_EQ(trace.size(), ops.size());

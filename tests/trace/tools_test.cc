@@ -13,11 +13,11 @@
 #include <string>
 #include <vector>
 
-#include "core/trace_file.hh"
 #include "exp/driver.hh"
 #include "trace/corpus.hh"
 #include "trace/format.hh"
 #include "trace/tools.hh"
+#include "v1_fixture.hh"
 #include "workload/trace_profile.hh"
 
 namespace padc::trace
@@ -141,25 +141,39 @@ TEST_F(ToolsTest, ConvertMalformedCsvFailsWithDiagnostic)
 
 TEST_F(ToolsTest, ConvertTranscodesV1)
 {
-    // Build a v1 file, transcode it, verify the corpus entry shrank it.
-    std::vector<core::TraceOp> ops;
-    for (int i = 0; i < 1000; ++i) {
-        ops.push_back({static_cast<std::uint32_t>(i % 16),
-                       0x40000ULL + 64 * static_cast<std::uint64_t>(i),
-                       0x400, true, false});
-    }
-    const std::string v1 = dir_ + "/old.trc";
-    std::string error;
-    ASSERT_TRUE(core::writeTraceFile(v1, ops, &error)) << error;
+    // Transcode the v1 fixture, verify the corpus entry shrank it.
+    const std::string v1 = v1FixturePath();
     ASSERT_EQ(run({"trace", "convert", "--in", v1, "--format", "trace",
                    "--out", dir_, "--name", "old_v1"}),
               0);
+    std::string error;
     Corpus corpus;
     ASSERT_TRUE(loadCorpus(dir_, &corpus, &error)) << error;
     const CorpusEntry *entry = findEntry(corpus, "old_v1");
     ASSERT_NE(entry, nullptr);
-    EXPECT_EQ(entry->ops, 1000u);
+    EXPECT_EQ(entry->ops, kV1FixtureOps);
     EXPECT_LT(entry->bytes, std::filesystem::file_size(v1));
+    EXPECT_EQ(entry->footprint_lines, kV1FixtureDistinctLines);
+}
+
+TEST_F(ToolsTest, WrappedV1OpCountRejected)
+{
+    // The fixture's header and first record, claiming 2^61 + 1 ops:
+    // 16 + 24 * count wraps to the 40 bytes present.
+    std::ifstream in(v1FixturePath(), std::ios::binary);
+    std::string bytes(40, '\0');
+    in.read(bytes.data(), 40);
+    const std::uint64_t count = (1ULL << 61) + 1;
+    for (int i = 0; i < 8; ++i)
+        bytes[8 + i] = static_cast<char>((count >> (8 * i)) & 0xFF);
+    const std::string file = dir_ + "/wrapped.trc";
+    std::ofstream(file, std::ios::binary) << bytes;
+
+    EXPECT_EQ(run({"trace", "info", file}), 1);
+    EXPECT_EQ(run({"trace", "verify", file}), 1);
+    EXPECT_EQ(run({"trace", "convert", "--in", file, "--format", "trace",
+                   "--out", dir_, "--name", "wrapped"}),
+              1);
 }
 
 TEST_F(ToolsTest, InfoAndVerifyReportOnFiles)
