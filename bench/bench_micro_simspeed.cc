@@ -3,7 +3,8 @@
  * Simulator micro-benchmarks (google-benchmark): throughput of the hot
  * components -- the DRAM channel command loop, the cache lookup path,
  * the stream prefetcher, the synthetic generator, the memory-controller
- * scheduling loop (sharded vs. reference, at several queue depths), the
+ * read and write scheduling loops (sharded vs. reference, at several
+ * queue depths), the
  * parallel sweep runner, and a full single-core simulation step.
  *
  * Unless the caller passes its own --benchmark_out, results are also
@@ -146,11 +147,11 @@ class NullHandler : public memctrl::ResponseHandler
 };
 
 /**
- * Reusable scheduler workload: a controller whose read queue is held at
- * a fixed depth of pseudo-random requests (mixing row hits and
- * conflicts across all banks), stepped one DRAM command clock per
- * tick. Shared by the scheduling micro-benchmarks and the telemetry
- * overhead check.
+ * Reusable scheduler workload: a controller whose read queue (and,
+ * optionally, write queue) is held at a fixed depth of pseudo-random
+ * requests (mixing row hits and conflicts across all banks), stepped
+ * one DRAM command clock per tick. Shared by the scheduling
+ * micro-benchmarks and the telemetry overhead check.
  */
 struct SchedulerLoad
 {
@@ -165,6 +166,7 @@ struct SchedulerLoad
     memctrl::MemoryController ctrl;
 
     std::size_t depth;
+    std::size_t write_depth;
     std::uint64_t line = 1;
     std::uint64_t n = 0;
     Cycle now = 0;
@@ -189,10 +191,11 @@ struct SchedulerLoad
         return cfg;
     }
 
-    SchedulerLoad(std::size_t queue_depth, bool reference)
+    SchedulerLoad(std::size_t queue_depth, bool reference,
+                  std::size_t write_queue_depth = 0)
         : tracker(kCores, accuracyConfig()),
           ctrl(schedConfig(reference), channel, tracker, handler, kCores),
-          depth(queue_depth)
+          depth(queue_depth), write_depth(write_queue_depth)
     {
         topUp();
     }
@@ -210,6 +213,12 @@ struct SchedulerLoad
                                  : RequestClass::DemandRead,
                              now);
             ++n;
+        }
+        while (ctrl.writeQueueSize() < write_depth) {
+            line = line * 2862933555777941757ULL + 3037000493ULL;
+            const Addr addr = lineToAddr(line % 4096);
+            ctrl.enqueueWrite(map.map(addr), lineAlign(addr),
+                              static_cast<CoreId>(n++ % kCores), now);
         }
     }
 
@@ -251,6 +260,36 @@ BM_ScheduleReadReference(benchmark::State &state)
     scheduleReadAtDepth(state, true);
 }
 BENCHMARK(BM_ScheduleReadReference)->Arg(4)->Arg(32)->Arg(72)->Arg(128);
+
+/**
+ * Cost of one controller DRAM cycle with no reads queued and the write
+ * queue held at state.range(0) writebacks, so every cycle schedules a
+ * write (16 sits below the drain watermark, 48 and 64 at or above it;
+ * the queue peaks at about 60 in the saturated case-study figures).
+ */
+void
+scheduleWriteAtDepth(benchmark::State &state, bool reference)
+{
+    SchedulerLoad load(0, reference, static_cast<std::size_t>(state.range(0)));
+    for (auto _ : state)
+        load.tick();
+    benchmark::DoNotOptimize(load.ctrl.stats().writes);
+}
+
+void
+BM_ScheduleWrite(benchmark::State &state)
+{
+    scheduleWriteAtDepth(state, false);
+}
+BENCHMARK(BM_ScheduleWrite)->Arg(16)->Arg(48)->Arg(64);
+
+/** The naive per-write walk the reference scheduler keeps. */
+void
+BM_ScheduleWriteReference(benchmark::State &state)
+{
+    scheduleWriteAtDepth(state, true);
+}
+BENCHMARK(BM_ScheduleWriteReference)->Arg(16)->Arg(48)->Arg(64);
 
 /**
  * Same scheduling loop with a request trace attached in count-only mode

@@ -43,7 +43,7 @@ CacheConfig::validate(ConfigErrors &errors, const std::string &prefix) const
 SetAssocCache::SetAssocCache(const CacheConfig &config, std::string name)
     : config_(config), name_(std::move(name)),
       lines_(static_cast<std::size_t>(config.sets()) * config.ways),
-      repl_(config.repl)
+      repl_(config.repl), stamps_(config.ways)
 {
     assert(config_.valid());
 }
@@ -119,10 +119,9 @@ SetAssocCache::fill(Addr addr, CoreId owner, Addr pc, bool prefetched,
 
     EvictResult evicted;
     if (slot == nullptr) {
-        std::vector<std::uint64_t> stamps(config_.ways);
         for (std::uint32_t way = 0; way < config_.ways; ++way)
-            stamps[way] = base[way].stamp;
-        Line &victim = base[repl_.victim(stamps)];
+            stamps_[way] = base[way].stamp;
+        Line &victim = base[repl_.victim(stamps_.data(), config_.ways)];
 
         evicted.valid = true;
         evicted.line_addr = victim.line_addr;

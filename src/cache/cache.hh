@@ -176,6 +176,7 @@ class SetAssocCache
     std::string name_;
     std::vector<Line> lines_; ///< sets_ * ways_, set-major
     ReplacementPolicy repl_;
+    std::vector<std::uint64_t> stamps_; ///< victim() scratch, one per way
     std::uint64_t next_stamp_ = 1;
     CacheStats stats_;
 };

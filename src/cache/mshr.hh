@@ -17,10 +17,10 @@
 #define PADC_CACHE_MSHR_HH
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "common/config.hh"
+#include "common/flat_addr_map.hh"
 #include "common/types.hh"
 
 namespace padc::cache
@@ -64,15 +64,21 @@ struct MshrEntry
 
 /**
  * Fixed-capacity MSHR file, indexed by line address.
+ *
+ * Entries live in fixed slots, so an entry's address is stable from
+ * alloc() to release() whatever else is allocated or released meanwhile
+ * (the fill path holds one across core wake-ups), and a reused slot
+ * keeps its waiter vector's capacity: steady-state misses allocate
+ * nothing.
  */
 class MshrFile
 {
   public:
     explicit MshrFile(std::uint32_t capacity);
 
-    bool full() const { return entries_.size() >= capacity_; }
+    bool full() const { return index_.size() >= capacity_; }
 
-    std::size_t size() const { return entries_.size(); }
+    std::size_t size() const { return index_.size(); }
 
     std::uint32_t capacity() const { return capacity_; }
 
@@ -94,7 +100,9 @@ class MshrFile
 
   private:
     std::uint32_t capacity_;
-    std::unordered_map<Addr, MshrEntry> entries_;
+    std::vector<MshrEntry> entries_; ///< capacity_ fixed slots
+    std::vector<std::uint32_t> free_; ///< unused slots (LIFO)
+    FlatAddrMap index_;               ///< line address -> slot
     std::size_t peak_ = 0;
 };
 

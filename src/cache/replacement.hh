@@ -10,7 +10,6 @@
 #define PADC_CACHE_REPLACEMENT_HH
 
 #include <cstdint>
-#include <vector>
 
 #include "common/types.hh"
 
@@ -39,10 +38,10 @@ class ReplacementPolicy
 
     /**
      * Pick the victim among @p ways valid lines.
-     * @param stamps recency stamp per way (larger = newer)
+     * @param stamps recency stamp per way (larger = newer), @p ways long
      * @return way index of the victim
      */
-    std::uint32_t victim(const std::vector<std::uint64_t> &stamps);
+    std::uint32_t victim(const std::uint64_t *stamps, std::uint32_t ways);
 
     ReplPolicyKind kind() const { return kind_; }
 

@@ -26,7 +26,8 @@ CoreConfig::validate(ConfigErrors &errors, const std::string &prefix) const
 
 Core::Core(CoreId id, const CoreConfig &config, TraceSource &trace,
            MemoryPort &port)
-    : id_(id), config_(config), trace_(trace), port_(port)
+    : id_(id), config_(config), trace_(trace), port_(port),
+      rob_(config.window_size), issue_q_(config.window_size)
 {
 }
 
@@ -146,8 +147,7 @@ Core::fetch(Cycle now)
         entry.addr = current_op_.addr;
         entry.pc = current_op_.pc;
         entry.tag = next_tag_++;
-        rob_.push_back(entry);
-        issue_q_.push_back(&rob_.back());
+        issue_q_.push_back(&rob_.push_back(entry));
         ++instrs_in_window_;
         --budget;
         have_current_op_ = false;

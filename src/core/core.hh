@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "common/config.hh"
+#include "common/ring_buffer.hh"
 #include "common/types.hh"
 #include "core/trace.hh"
 
@@ -195,12 +196,15 @@ class Core
     TraceSource &trace_;
     MemoryPort &port_;
 
-    std::deque<RobEntry> rob_;
+    /** The window. Every entry holds at least one instruction, so
+        window_size entries always fit; entries never move, which is
+        what lets issue_q_ and pending_ point into it. */
+    RingBuffer<RobEntry> rob_;
     std::uint32_t instrs_in_window_ = 0;
     std::uint32_t mem_ops_in_flight_ = 0; ///< issued, not complete (LSQ)
 
     /** Mem entries fetched but not yet successfully issued. */
-    std::deque<RobEntry *> issue_q_;
+    RingBuffer<RobEntry *> issue_q_;
 
     /**
      * Pending-miss lookup for completeLoad(), keyed by tag. At most

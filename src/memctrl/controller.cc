@@ -14,7 +14,8 @@ MemoryController::MemoryController(const SchedulerConfig &config,
     : config_(config), channel_(channel), tracker_(tracker),
       handler_(handler), num_cores_(num_cores),
       context_(config_, tracker_), apd_(config_, tracker_),
-      pool_(config_.request_buffer_size)
+      pool_(config_.request_buffer_size),
+      read_index_(config_.request_buffer_size + 1)
 {
     assert(num_cores_ <= kMaxCores);
     assert(channel_.numBanks() <= 64); // occupied_banks_ is one word
@@ -179,6 +180,34 @@ MemoryController::summaryOf(const BankShard &shard, std::uint64_t open,
     return summary;
 }
 
+const MemoryController::WriteSummary &
+MemoryController::writeSummaryOf(const BankShard &shard,
+                                 std::uint64_t open) const
+{
+    WriteSummary &summary = shard.write_summary;
+    if (!summary.dirty && summary.row == open)
+        return summary;
+    summary = WriteSummary{};
+    summary.dirty = false;
+    summary.row = open;
+    for (const std::uint32_t slot : shard.writes)
+        foldWrite(summary, slot);
+    return summary;
+}
+
+void
+MemoryController::foldWrite(WriteSummary &summary, std::uint32_t slot) const
+{
+    const Request &w = write_arena_[slot];
+    const bool hit = w.coord.row == summary.row;
+    std::uint32_t &best_slot = hit ? summary.hit_slot : summary.miss_slot;
+    std::uint64_t &best_seq = hit ? summary.hit_seq : summary.miss_seq;
+    if (best_slot == RequestPool::kNone || w.seq < best_seq) {
+        best_slot = slot;
+        best_seq = w.seq;
+    }
+}
+
 Cycle
 MemoryController::bankLocalReady(std::uint32_t bank, NextCmd cmd) const
 {
@@ -209,12 +238,12 @@ MemoryController::enqueueRead(const dram::DramCoord &coord, Addr line_addr,
     // corrupting read_index_ (formerly an assert, i.e. silent corruption
     // in NDEBUG builds). A demand duplicate promotes the in-flight
     // prefetch, mirroring what the L2 does on a demand match. The
-    // speculative try_emplace doubles as the admission insert, so the
-    // hot paths (coalesce, fresh enqueue) pay a single hash probe; the
-    // rare forward/reject exits below undo it.
-    auto [index_it, inserted] = read_index_.try_emplace(line_addr, 0);
+    // speculative tryEmplace doubles as the admission insert, so the
+    // hot paths (coalesce, fresh enqueue) pay a single probe; the rare
+    // forward/reject exits below undo it.
+    const auto [index_value, inserted] = read_index_.tryEmplace(line_addr, 0);
     if (!inserted) {
-        const Request &existing = pool_.at(index_it->second);
+        const Request &existing = pool_.at(*index_value);
         ++stats_.duplicate_reads;
         traceRequest(telemetry::EventKind::Coalesce, existing, now);
         if (cls == RequestClass::DemandRead && existing.isPrefetch())
@@ -223,12 +252,10 @@ MemoryController::enqueueRead(const dram::DramCoord &coord, Addr line_addr,
     }
 
     // Forward from the write queue: the newest data for this line is
-    // sitting in the controller, so no DRAM access is needed. The index
-    // is empty exactly when the queue is, so the common empty-queue case
-    // skips the hash probe.
-    if (!write_q_.empty() &&
-        write_index_.find(line_addr) != write_index_.end()) {
-        read_index_.erase(index_it);
+    // sitting in the controller, so no DRAM access is needed. The common
+    // empty-queue case skips the probe.
+    if (!write_index_.empty() && write_index_.contains(line_addr)) {
+        read_index_.erase(line_addr);
         Request req;
         req.line_addr = line_addr;
         req.coord = coord;
@@ -251,7 +278,7 @@ MemoryController::enqueueRead(const dram::DramCoord &coord, Addr line_addr,
     }
 
     if (readBufferFull()) {
-        read_index_.erase(index_it);
+        read_index_.erase(line_addr);
         if (is_prefetch)
             ++stats_.prefetches_rejected_full;
         else
@@ -280,7 +307,7 @@ MemoryController::enqueueRead(const dram::DramCoord &coord, Addr line_addr,
     const std::uint32_t slot = pool_.allocate();
     pool_.at(slot) = req; // full overwrite: recycled slots hold stale data
     pool_.syncHot(slot);
-    index_it->second = slot;
+    *index_value = slot; // no index insert or erase since tryEmplace
     trackEnqueued(slot);
     traceRequest(telemetry::EventKind::Enqueue, pool_.at(slot), now);
     if (is_prefetch)
@@ -292,33 +319,54 @@ void
 MemoryController::enqueueWrite(const dram::DramCoord &coord, Addr line_addr,
                                CoreId core, Cycle now)
 {
-    if (write_index_.find(line_addr) != write_index_.end())
+    const auto [index_value, inserted] =
+        write_index_.tryEmplace(line_addr, 0);
+    if (!inserted)
         return; // coalesce with the pending write of the same line
 
-    Request req;
+    std::uint32_t slot;
+    if (!write_free_.empty()) {
+        slot = write_free_.back();
+        write_free_.pop_back();
+    } else {
+        slot = static_cast<std::uint32_t>(write_arena_.size());
+        write_arena_.emplace_back();
+    }
+    *index_value = slot;
+
+    BankShard &shard = shards_[coord.bank];
+    Request &req = write_arena_[slot];
+    req = Request{}; // full overwrite: recycled slots hold stale data
     req.line_addr = line_addr;
     req.coord = coord;
     req.core = core;
     req.cls = RequestClass::Writeback;
     req.arrival = now;
     req.seq = next_seq_++;
-    write_q_.push_back(req);
-    write_index_[line_addr] = std::prev(write_q_.end());
-    traceRequest(telemetry::EventKind::EnqueueWrite, write_q_.back(), now);
+    req.bank_slot = static_cast<std::uint32_t>(shard.writes.size());
+    shard.writes.push_back(slot);
+    write_banks_ |= 1ULL << coord.bank;
+    // A clean summary absorbs the arrival in O(1): the newcomer has the
+    // largest seq of all, so it becomes the best write of its kind (row
+    // hit or miss against the row the summary was built under) only
+    // when the bank had none of that kind.
+    if (!shard.write_summary.dirty)
+        foldWrite(shard.write_summary, slot);
+    traceRequest(telemetry::EventKind::EnqueueWrite, req, now);
 }
 
 bool
 MemoryController::promote(Addr line_addr, Cycle now)
 {
-    auto it = read_index_.find(line_addr);
-    if (it == read_index_.end())
+    const std::uint32_t slot = read_index_.find(line_addr);
+    if (slot == FlatAddrMap::kMissing)
         return false;
-    Request &req = pool_.at(it->second);
+    Request &req = pool_.at(slot);
     if (!req.isPrefetch())
         return false;
     trackPromoted(req);
     req.cls = RequestClass::DemandRead;
-    pool_.syncHot(it->second); // the class column feeds the scheduler
+    pool_.syncHot(slot); // the class column feeds the scheduler
     ++stats_.promotions;
     traceRequest(telemetry::EventKind::Promote, req, now);
     return true;
@@ -363,28 +411,39 @@ MemoryController::pendingSameRow(const Request &req) const
                other.coord.row == req.coord.row;
     };
     if (config_.reference_scheduler) {
-        // Golden model: the naive queue walk, independent of the shards.
+        // Golden model: naive walks of the read queue and the whole
+        // write arena, independent of the shards.
         for (std::uint32_t slot = pool_.head(); slot != RequestPool::kNone;
              slot = pool_.next(slot)) {
             const Request &other = pool_.at(slot);
             if (other.state == RequestState::Queued && same_row(other))
                 return true;
         }
-    } else {
-        // The bank's shard holds exactly its queued reads (req too, when
-        // req is a read).
-        for (const std::uint32_t slot : shards_[req.coord.bank].queued) {
-            if (same_row(pool_.at(slot)))
-                return true;
-        }
+        return std::any_of(write_arena_.begin(), write_arena_.end(),
+                           [&same_row](const Request &other) {
+                               return other.state == RequestState::Queued &&
+                                      same_row(other);
+                           });
     }
-    return std::any_of(write_q_.begin(), write_q_.end(), same_row);
+    // The bank's shard holds exactly its queued reads and writes (req
+    // too).
+    const BankShard &shard = shards_[req.coord.bank];
+    for (const std::uint32_t slot : shard.queued) {
+        if (same_row(pool_.at(slot)))
+            return true;
+    }
+    for (const std::uint32_t slot : shard.writes) {
+        if (same_row(write_arena_[slot]))
+            return true;
+    }
+    return false;
 }
 
 void
-MemoryController::issueCommand(Request &req, NextCmd cmd, bool row_hit,
-                               Cycle now)
+MemoryController::issueCommand(std::uint32_t slot, bool is_write,
+                               NextCmd cmd, bool row_hit, Cycle now)
 {
+    Request &req = is_write ? write_arena_[slot] : pool_.at(slot);
     if (issue_log_ != nullptr) {
         issue_log_->push_back({now, static_cast<std::uint8_t>(cmd),
                                req.isWrite(), req.coord.bank, req.coord.row,
@@ -404,16 +463,15 @@ MemoryController::issueCommand(Request &req, NextCmd cmd, bool row_hit,
         const bool auto_pre = config_.row_policy == RowPolicy::Closed &&
                               !pendingSameRow(req);
         req.data_ready =
-            channel_.column(req.coord.bank, req.isWrite(), auto_pre, now);
+            channel_.column(req.coord.bank, is_write, auto_pre, now);
         if (req.row_outcome == Request::RowOutcome::Unknown) {
             req.row_outcome = row_hit ? Request::RowOutcome::Hit
                                       : Request::RowOutcome::Conflict;
         }
-        if (!req.isWrite()) {
+        if (!is_write) {
             // Queued -> Servicing: the read leaves its bank shard and
             // joins the (seq-sorted) in-flight set.
             untrackQueued(req);
-            const std::uint32_t slot = read_index_.find(req.line_addr)->second;
             servicing_.insert(
                 std::lower_bound(servicing_.begin(), servicing_.end(), slot,
                                  [this](std::uint32_t a, std::uint32_t b) {
@@ -648,7 +706,7 @@ MemoryController::scheduleRead(Cycle now)
     }
     if (best_slot == RequestPool::kNone)
         return false;
-    issueCommand(pool_.at(best_slot), best_cmd, best_cmd == NextCmd::Column,
+    issueCommand(best_slot, false, best_cmd, best_cmd == NextCmd::Column,
                  now);
     return true;
 }
@@ -682,7 +740,7 @@ MemoryController::scheduleReadReference(Cycle now)
         }
     }
 
-    Request *best = nullptr;
+    std::uint32_t best = RequestPool::kNone;
     std::uint64_t best_key = 0;
     NextCmd best_cmd = NextCmd::None;
     bool best_hit = false;
@@ -701,64 +759,140 @@ MemoryController::scheduleReadReference(Cycle now)
         if (!commandIssuable(req, cmd, now))
             continue;
         const std::uint64_t key = context_.priorityKey(req, row_hit);
-        if (best == nullptr || key > best_key) {
-            best = &req;
+        if (best == RequestPool::kNone || key > best_key) {
+            best = slot;
             best_key = key;
             best_cmd = cmd;
             best_hit = row_hit;
         }
     }
-    if (best == nullptr)
+    if (best == RequestPool::kNone)
         return false;
-    issueCommand(*best, best_cmd, best_hit, now);
+    issueCommand(best, false, best_cmd, best_hit, now);
     return true;
 }
+
+namespace
+{
+
+/** FR-FCFS write priority: row hits first, then the oldest. */
+std::uint64_t
+writeKey(bool row_hit, std::uint64_t seq)
+{
+    return ((row_hit ? 1ULL : 0ULL) << 63) | (~seq & 0x7FFFFFFFFFFFFFFF);
+}
+
+} // namespace
 
 bool
 MemoryController::scheduleWrite(Cycle now)
 {
     // Writes are scheduled FR-FCFS among themselves (row-hit first,
     // then oldest); prefetch-awareness does not apply to writebacks.
-    std::list<Request>::iterator best = write_q_.end();
+    if (config_.reference_scheduler)
+        return scheduleWriteReference(now);
+
+    // A bank's only candidates are the two its summary caches, and its
+    // row-hit write outranks its row-miss write (and every row miss
+    // elsewhere), so the miss command needs checking only when the
+    // column command is not issuable.
+    std::uint32_t best_slot = RequestPool::kNone;
     std::uint64_t best_key = 0;
     NextCmd best_cmd = NextCmd::None;
-
-    for (auto it = write_q_.begin(); it != write_q_.end(); ++it) {
-        bool row_hit = false;
-        const NextCmd cmd = nextCommand(*it, &row_hit);
-        if (!commandIssuable(*it, cmd, now))
-            continue;
-        const std::uint64_t key =
-            ((row_hit ? 1ULL : 0ULL) << 63) | (~it->seq & 0x7FFFFFFFFFFFFFFF);
-        if (best == write_q_.end() || key > best_key) {
-            best = it;
+    for (std::uint64_t mask = write_banks_; mask != 0; mask &= mask - 1) {
+        const auto b = static_cast<std::uint32_t>(__builtin_ctzll(mask));
+        const std::uint64_t open = channel_.openRow(b);
+        const WriteSummary &summary = writeSummaryOf(shards_[b], open);
+        std::uint32_t slot = RequestPool::kNone;
+        std::uint64_t key = 0;
+        NextCmd cmd = NextCmd::None;
+        if (summary.hit_slot != RequestPool::kNone &&
+            channel_.canColumn(b, true, now)) {
+            slot = summary.hit_slot;
+            key = writeKey(true, summary.hit_seq);
+            cmd = NextCmd::Column;
+        } else if (summary.miss_slot != RequestPool::kNone &&
+                   (open == dram::kNoOpenRow
+                        ? channel_.canActivate(b, now)
+                        : channel_.canPrecharge(b, now))) {
+            slot = summary.miss_slot;
+            key = writeKey(false, summary.miss_seq);
+            cmd = open == dram::kNoOpenRow ? NextCmd::Activate
+                                           : NextCmd::Precharge;
+        }
+        if (slot != RequestPool::kNone &&
+            (best_slot == RequestPool::kNone || key > best_key)) {
+            best_slot = slot;
             best_key = key;
             best_cmd = cmd;
         }
     }
-    if (best == write_q_.end())
+    if (best_slot == RequestPool::kNone)
         return false;
-
-    issueCommand(*best, best_cmd, best_cmd == NextCmd::Column, now);
-    if (best->state == RequestState::Servicing) {
-        // Nothing waits on a writeback; retire it at column issue.
-        ++stats_.writes;
-        ++stats_.serviced_by_class[static_cast<std::size_t>(
-            RequestClass::Writeback)];
-        traceRequest(telemetry::EventKind::WriteRetire, *best, now,
-                     best->arrival);
-        write_index_.erase(best->line_addr);
-        write_q_.erase(best);
-    }
+    issueWrite(best_slot, best_cmd, now);
     return true;
+}
+
+bool
+MemoryController::scheduleWriteReference(Cycle now)
+{
+    // Golden model: every queued write's next command, checked one by
+    // one, independent of the bank shards and their summaries.
+    std::uint32_t best = RequestPool::kNone;
+    std::uint64_t best_key = 0;
+    NextCmd best_cmd = NextCmd::None;
+    for (std::uint32_t slot = 0; slot < write_arena_.size(); ++slot) {
+        const Request &w = write_arena_[slot];
+        if (w.state != RequestState::Queued)
+            continue;
+        bool row_hit = false;
+        const NextCmd cmd = nextCommand(w, &row_hit);
+        if (!commandIssuable(w, cmd, now))
+            continue;
+        const std::uint64_t key = writeKey(row_hit, w.seq);
+        if (best == RequestPool::kNone || key > best_key) {
+            best = slot;
+            best_key = key;
+            best_cmd = cmd;
+        }
+    }
+    if (best == RequestPool::kNone)
+        return false;
+    issueWrite(best, best_cmd, now);
+    return true;
+}
+
+void
+MemoryController::issueWrite(std::uint32_t slot, NextCmd cmd, Cycle now)
+{
+    issueCommand(slot, true, cmd, cmd == NextCmd::Column, now);
+    Request &req = write_arena_[slot];
+    if (req.state != RequestState::Servicing)
+        return;
+    // Nothing waits on a writeback; retire it at column issue.
+    ++stats_.writes;
+    ++stats_.serviced_by_class[static_cast<std::size_t>(
+        RequestClass::Writeback)];
+    traceRequest(telemetry::EventKind::WriteRetire, req, now, req.arrival);
+    write_index_.erase(req.line_addr);
+    BankShard &shard = shards_[req.coord.bank];
+    const std::uint32_t moved = shard.writes.back();
+    shard.writes[req.bank_slot] = moved;
+    write_arena_[moved].bank_slot = req.bank_slot;
+    shard.writes.pop_back();
+    shard.write_summary.dirty = true;
+    if (shard.writes.empty())
+        write_banks_ &= ~(1ULL << req.coord.bank);
+    req.state = RequestState::Done;
+    write_free_.push_back(slot);
 }
 
 bool
 MemoryController::nextDrainMode() const
 {
-    if (write_q_.size() >= config_.write_drain_high)
+    if (write_index_.size() >= config_.write_drain_high)
         return true;
-    if (write_q_.size() <= config_.write_drain_low)
+    if (write_index_.size() <= config_.write_drain_low)
         return false;
     return write_drain_mode_;
 }
@@ -872,37 +1006,26 @@ MemoryController::nextEventCycle(Cycle from) const
     // scheduleWrite mutates nothing, so the event is not the attempt but
     // the first cycle some pending write's next command becomes legal --
     // and with the channel frozen inside the gap, that cycle is exactly
-    // max(bank-local ready, channel-global ready) per write.
-    if (!write_q_.empty()) {
-        if (nextDrainMode() || pool_.empty()) {
-            const Cycle col_global = channel_.writeColumnGlobalReadyAt();
-            const Cycle act_global = channel_.activateGlobalReadyAt();
-            const Cycle pre_global = channel_.commandBusFreeAt();
-            for (const Request &w : write_q_) {
-                bool row_hit = false;
-                const NextCmd cmd = nextCommand(w, &row_hit);
-                const std::uint32_t b = w.coord.bank;
-                Cycle ready = kNeverCycle;
-                switch (cmd) {
-                case NextCmd::Column:
-                    ready = std::max(channel_.bankReadyColumn(b),
-                                     col_global);
-                    break;
-                case NextCmd::Activate:
-                    ready = std::max(channel_.bankReadyActivate(b),
-                                     act_global);
-                    break;
-                case NextCmd::Precharge:
-                    ready = std::max(channel_.bankReadyPrecharge(b),
-                                     pre_global);
-                    break;
-                case NextCmd::None:
-                    break;
-                }
-                fold(ready);
-                if (raw <= next_tick)
-                    return next_tick;
+    // max(bank-local ready, channel-global ready) for each command some
+    // write wants, which the write summaries name per bank.
+    if (write_banks_ != 0 && (nextDrainMode() || pool_.empty())) {
+        const Cycle col_global = channel_.writeColumnGlobalReadyAt();
+        const Cycle act_global = channel_.activateGlobalReadyAt();
+        const Cycle pre_global = channel_.commandBusFreeAt();
+        for (std::uint64_t mask = write_banks_; mask != 0; mask &= mask - 1) {
+            const auto b = static_cast<std::uint32_t>(__builtin_ctzll(mask));
+            const std::uint64_t open = channel_.openRow(b);
+            const WriteSummary &summary = writeSummaryOf(shards_[b], open);
+            if (summary.hit_slot != RequestPool::kNone)
+                fold(std::max(channel_.bankReadyColumn(b), col_global));
+            if (summary.miss_slot != RequestPool::kNone) {
+                fold(open == dram::kNoOpenRow
+                         ? std::max(channel_.bankReadyActivate(b), act_global)
+                         : std::max(channel_.bankReadyPrecharge(b),
+                                    pre_global));
             }
+            if (raw <= next_tick)
+                return next_tick;
         }
     }
 

@@ -39,19 +39,30 @@
  *    when the accurate-core mask differs from the one it was built
  *    under;
  *  - per-bank demand/prefetch occupancy counters and per-core criticality
- *    counters replacing the per-cycle class-mask and ranking rescans.
+ *    counters replacing the per-cycle class-mask and ranking rescans;
+ *  - per-bank write shards with a cached WriteSummary (the oldest write
+ *    hitting the open row and the oldest missing it), so the write
+ *    path and its part of the jump bound cost O(banks with writes)
+ *    instead of O(queued writes). A new write has the largest seq, so a
+ *    clean summary absorbs it in O(1); a retire dirties it, and an
+ *    open-row change (PRE/ACT, refresh, auto-precharge) forces a
+ *    rebuild, as for reads.
  * The closed-row policy's "another request pending to this row?" test
- * walks only the bank's shard and the write queue.
- * The naive O(queue) scheduler is retained behind
+ * walks only the bank's read and write shards.
+ * The naive O(queue) read and write schedulers are retained behind
  * SchedulerConfig::reference_scheduler as the golden model; both paths
  * are decision-identical (same command each cycle, same stats).
  *
  * Storage: request buffer entries live in an arena (RequestPool) with
  * structure-of-arrays hot columns, so the scheduler scan reads dense
- * arrays instead of chasing list nodes. The controller also exposes a
- * next-event computation (nextEventCycle/skipTo) that lets the system
- * loop jump over cycles in which provably nothing here can change; see
- * DESIGN.md "Event-driven main loop".
+ * arrays instead of chasing list nodes; writebacks live in a growable
+ * arena of their own. Both line-address indexes are flat
+ * open-addressing tables (FlatAddrMap), so once the queues have reached
+ * their peak depth an enqueue, issue or retire allocates nothing. The
+ * controller also exposes a next-event computation
+ * (nextEventCycle/skipTo) that lets the system loop jump over cycles in
+ * which provably nothing here can change; see DESIGN.md "Event-driven
+ * main loop".
  */
 
 #ifndef PADC_MEMCTRL_CONTROLLER_HH
@@ -59,10 +70,9 @@
 
 #include <array>
 #include <cstdint>
-#include <list>
-#include <unordered_map>
 #include <vector>
 
+#include "common/flat_addr_map.hh"
 #include "common/types.hh"
 #include "dram/address_map.hh"
 #include "dram/channel.hh"
@@ -193,7 +203,7 @@ class MemoryController
     /** True if a read for @p line_addr is outstanding here. */
     bool hasRead(Addr line_addr) const
     {
-        return read_index_.find(line_addr) != read_index_.end();
+        return read_index_.contains(line_addr);
     }
 
     /** Advance the controller; call once per processor cycle. */
@@ -222,7 +232,7 @@ class MemoryController
     const SchedulerConfig &config() const { return config_; }
 
     std::size_t readQueueSize() const { return pool_.size(); }
-    std::size_t writeQueueSize() const { return write_q_.size(); }
+    std::size_t writeQueueSize() const { return write_index_.size(); }
 
     /** One DRAM command issued by the scheduler (for equivalence tests). */
     struct IssueRecord
@@ -291,6 +301,26 @@ class MemoryController
         std::uint64_t accurate_mask = 0;      ///< mask built under
     };
 
+    /**
+     * Cached result of scanning one bank's queued writes: the oldest
+     * write hitting the open row it was built under and the oldest one
+     * missing it. Writes are FR-FCFS among themselves with no class
+     * blocking, so these two are the bank's only write candidates. Valid
+     * while it is not dirty and the bank's open row is still the one it
+     * was built for (see writeSummaryOf()).
+     */
+    struct WriteSummary
+    {
+        std::uint32_t hit_slot = RequestPool::kNone; ///< arena slot
+        std::uint64_t hit_seq = 0;
+        std::uint32_t miss_slot = RequestPool::kNone; ///< arena slot
+        std::uint64_t miss_seq = 0;
+
+        /** A write retired since the build. */
+        bool dirty = true;
+        std::uint64_t row = dram::kNoOpenRow; ///< open row built for
+    };
+
     /** Scheduler shard for one DRAM bank. */
     struct BankShard
     {
@@ -316,17 +346,31 @@ class MemoryController
 
         /** Scan cache; rebuilt on demand, also from const readers. */
         mutable ShardSummary summary;
+
+        /** Write-arena slots of the writes queued to this bank; each
+            write's bank_slot is its index here (O(1) swap-remove). */
+        std::vector<std::uint32_t> writes;
+
+        /** Scan cache over writes; rebuilt on demand. */
+        mutable WriteSummary write_summary;
     };
 
     NextCmd nextCommand(const Request &req, bool *row_hit) const;
     bool commandIssuable(const Request &req, NextCmd cmd, Cycle now) const;
-    void issueCommand(Request &req, NextCmd cmd, bool row_hit, Cycle now);
+
+    /** Issue @p cmd for the read in pool slot @p slot, or (when
+        @p is_write) for the write in write-arena slot @p slot. */
+    void issueCommand(std::uint32_t slot, bool is_write, NextCmd cmd,
+                      bool row_hit, Cycle now);
 
     void completeFinished(Cycle now);
     void runApd(Cycle now);
     bool scheduleRead(Cycle now);
     bool scheduleReadReference(Cycle now);
     bool scheduleWrite(Cycle now);
+    bool scheduleWriteReference(Cycle now);
+    /** Issue @p cmd for write @p slot; retire it at column issue. */
+    void issueWrite(std::uint32_t slot, NextCmd cmd, Cycle now);
     void finishRead(std::uint32_t slot, Cycle now);
 
     /** Write-drain mode after one tick's hysteresis update. */
@@ -346,6 +390,15 @@ class MemoryController
     const ShardSummary &summaryOf(const BankShard &shard,
                                   std::uint64_t open,
                                   std::uint64_t accurate_mask) const;
+
+    /** The write summary of @p shard, whose bank has @p open as its
+        open row; rescans the bank's writes first if it is stale. */
+    const WriteSummary &writeSummaryOf(const BankShard &shard,
+                                       std::uint64_t open) const;
+
+    /** Fold queued write @p slot (a write-arena slot) into
+        @p summary. */
+    void foldWrite(WriteSummary &summary, std::uint32_t slot) const;
 
     /** Fold queued read @p slot into @p summary, whose bank has
         @p has_preferred as its preferred-request state. */
@@ -408,9 +461,14 @@ class MemoryController
 
     /** Arena + SoA hot columns backing the memory request buffer. */
     RequestPool pool_;
-    std::unordered_map<Addr, std::uint32_t> read_index_;
-    std::list<Request> write_q_;
-    std::unordered_map<Addr, std::list<Request>::iterator> write_index_;
+    FlatAddrMap read_index_; ///< line -> pool slot, every buffered read
+
+    /** The writeback queue: an arena that grows to the peak depth (the
+        queue is unbounded) and recycles slots through write_free_.
+        Queued writes have state Queued; free slots hold Done. */
+    std::vector<Request> write_arena_;
+    std::vector<std::uint32_t> write_free_;
+    FlatAddrMap write_index_; ///< line -> arena slot, every queued write
 
     /** Per-bank scheduler shards, sized from channel_.numBanks(). */
     std::vector<BankShard> shards_;
@@ -419,6 +477,9 @@ class MemoryController
         scan and the next-event computation visit only occupied banks
         (banks per channel never exceed 64). */
     std::uint64_t occupied_banks_ = 0;
+
+    /** Bit b set iff shards_[b].writes is non-empty. */
+    std::uint64_t write_banks_ = 0;
 
     /** alignUp(from) memo from the last nextEventCycle() call, so the
         skipTo() that immediately follows it in the jump path does not

@@ -103,7 +103,13 @@ struct SchedulerConfig
     /** Memory request buffer capacity (reads; matches L2 MSHR count). */
     std::uint32_t request_buffer_size = 128;
 
-    /** Writeback queue capacity. */
+    /**
+     * Nominal writeback queue capacity. Nothing reads it: the write
+     * queue is unbounded, and only the drain watermarks below shape it.
+     * Peak depths stay under the default (57 on fig09, 59 on fig10,
+     * 54 on fig12, 61 on fig17). Enforcing it would change the model,
+     * and removing it would change the sweep key.
+     */
     std::uint32_t write_buffer_size = 64;
 
     /** Start draining writes above this occupancy. */

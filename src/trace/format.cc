@@ -301,8 +301,11 @@ readV2Index(std::FILE *file, const std::string &path,
     const long size = fileSize(file);
     if (size < 0)
         return fail(error, "cannot seek in '" + path + "'");
+    // Division only, here and below: `index_offset + 16` and
+    // `index_offset + 16 + count * 16` wrap for huge values, so a
+    // crafted header or count could otherwise match the file size.
     const std::uint64_t usize = static_cast<std::uint64_t>(size);
-    if (header.index_offset + 16 > usize) {
+    if (usize < 16 || header.index_offset > usize - 16) {
         return fail(error, "'" + path +
                                "' is truncated before its block index");
     }
@@ -315,16 +318,15 @@ readV2Index(std::FILE *file, const std::string &path,
         return fail(error, "'" + path + "' has a truncated block index");
     const std::uint64_t num_blocks = getU64(count_buf);
 
-    const std::uint64_t expected_end =
-        header.index_offset + 8 + num_blocks * 16 + 8;
-    if (expected_end != usize) {
-        return fail(
-            error,
-            "'" + path + "' holds " + std::to_string(usize) +
-                " bytes but its index promises " +
-                std::to_string(num_blocks) + " blocks ending at byte " +
-                std::to_string(expected_end) +
-                ": truncated, corrupt, or trailing garbage");
+    // The index is the count, 16 bytes per block, and the checksum.
+    const std::uint64_t entry_bytes = usize - header.index_offset - 16;
+    if (entry_bytes % 16 != 0 || num_blocks != entry_bytes / 16) {
+        return fail(error,
+                    "'" + path + "' holds " + std::to_string(usize) +
+                        " bytes but its index at byte " +
+                        std::to_string(header.index_offset) +
+                        " promises " + std::to_string(num_blocks) +
+                        " blocks: truncated, corrupt, or trailing garbage");
     }
 
     std::vector<unsigned char> raw(8 + num_blocks * 16);

@@ -9,17 +9,19 @@
  * enqueues of demands/prefetches/writebacks over a small line pool,
  * promotions, accuracy-moving prefetch-used events and interval ticks.
  * The base pool keeps every line in row 0 of its bank; the shaped
- * combinations add row conflicts, refresh and a deep buffer (see
- * EquivalenceLoad). One stack runs reference_scheduler=true, one the
- * optimized path ticked every cycle, and one the optimized path that
- * jumps over cycles with nextEventCycle()/skipTo(), as the event-driven
- * system loop does. The test then compares the complete DRAM command
- * streams (IssueRecord logs), the completion/drop event sequences, and
- * every statistic of both optimized stacks against the reference.
+ * combinations add row conflicts, refresh, a deep buffer and a deep
+ * write queue (see EquivalenceLoad). One stack runs
+ * reference_scheduler=true, one the optimized path ticked every cycle,
+ * and one the optimized path that jumps over cycles with
+ * nextEventCycle()/skipTo(), as the event-driven system loop does. The
+ * test then compares the complete DRAM command streams (IssueRecord
+ * logs), the completion/drop event sequences, and every statistic of
+ * both optimized stacks against the reference.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -226,6 +228,17 @@ struct EquivalenceLoad
     /** Periodic refresh with a short interval, so refresh closes banks
         under the scheduler many times per run. */
     bool refresh = false;
+
+    /** Writeback arrivals per cycle. */
+    double write_rate = 0.05;
+
+    /** Write-drain watermarks. Low ones with many rows per bank keep
+        the write queue deep and draining from early on: cached
+        per-bank write summaries then absorb many arrivals between
+        retires, and open-row flips from interleaved reads invalidate
+        them. */
+    std::uint32_t drain_high = 10;
+    std::uint32_t drain_low = 3;
 };
 
 /**
@@ -244,8 +257,8 @@ runEquivalence(SchedulerConfig config, std::uint64_t seed,
 
     config.request_buffer_size = load.buffer;
     config.write_buffer_size = 16;
-    config.write_drain_high = 10;
-    config.write_drain_low = 3;
+    config.write_drain_high = load.drain_high;
+    config.write_drain_low = load.drain_low;
     config.accuracy.interval = 1500; // several interval boundaries
     config.accuracy.min_samples = 4;
 
@@ -285,7 +298,7 @@ runEquivalence(SchedulerConfig config, std::uint64_t seed,
                                          : RequestClass::DemandRead;
             ops.push_back({now, Stimulus::Kind::Read, addr, core, cls});
         }
-        if (rng.chance(0.05)) {
+        if (rng.chance(load.write_rate)) {
             const Addr addr = randomLine();
             ops.push_back({now, Stimulus::Kind::Write, addr, randomCore(),
                            RequestClass::Writeback});
@@ -301,6 +314,7 @@ runEquivalence(SchedulerConfig config, std::uint64_t seed,
     }
 
     std::uint64_t drive_depth_sum = 0;
+    std::size_t peak_writes = 0;
     std::size_t next_op = 0;
     for (Cycle now = 0; now < kEnd; ++now) {
         for (; next_op < ops.size() && ops[next_op].cycle == now;
@@ -317,6 +331,7 @@ runEquivalence(SchedulerConfig config, std::uint64_t seed,
             << "issue-count divergence at cycle " << now;
         if (now < kDriveCycles)
             drive_depth_sum += ref.ctrl.readQueueSize();
+        peak_writes = std::max(peak_writes, ref.ctrl.writeQueueSize());
     }
     const Cycle skipped = driveWithJumps(jump, ops, kEnd);
 
@@ -331,6 +346,11 @@ runEquivalence(SchedulerConfig config, std::uint64_t seed,
     }
     if (load.refresh) {
         EXPECT_GT(ref.channel.stats().refreshes, 5u);
+    }
+    if (load.drain_high < 10) {
+        // The low-watermark shape keeps several writes per bank queued.
+        EXPECT_GE(peak_writes, 32u) << "the write queue stays shallow";
+        EXPECT_GT(ref.ctrl.stats().writes, 100u);
     }
     if (load.buffer > 64) {
         // About 9+ queued reads per bank while the stimulus runs.
@@ -432,9 +452,17 @@ INSTANTIATE_TEST_SUITE_P(AllPolicies, SchedEquivalence,
  * conflicts change a bank's open row under its queued reads; refresh
  * closes every bank behind the scheduler's back; the deep buffer keeps
  * many reads per bank, so cached per-bank summaries see many arrivals
- * and removals between rescans.
+ * and removals between rescans; the deep write queue does the same for
+ * the per-bank write summaries, and the reference walks every write.
  */
-enum class Shape : std::uint8_t { Conflicts, Refresh, RefreshConflicts, Deep };
+enum class Shape : std::uint8_t
+{
+    Conflicts,
+    Refresh,
+    RefreshConflicts,
+    Deep,
+    DeepWrites
+};
 
 EquivalenceLoad
 loadOf(Shape shape)
@@ -444,6 +472,7 @@ loadOf(Shape shape)
       case Shape::Refresh: return {24, 192, 192, true};
       case Shape::RefreshConflicts: return {24, 192, 48, true};
       case Shape::Deep: return {128, 384, 48, false};
+      case Shape::DeepWrites: return {24, 384, 48, false, 0.05, 8, 2};
     }
     return {};
 }
@@ -463,6 +492,7 @@ shapedComboName(const ShapedCombo &shaped)
       case Shape::Refresh: return name + "_refresh";
       case Shape::RefreshConflicts: return name + "_refresh_conflicts";
       case Shape::Deep: return name + "_deep";
+      case Shape::DeepWrites: return name + "_deep_writes";
     }
     return name;
 }
@@ -488,7 +518,8 @@ shapedCombos()
 {
     std::vector<ShapedCombo> combos;
     for (const Shape shape : {Shape::Conflicts, Shape::Refresh,
-                              Shape::RefreshConflicts, Shape::Deep}) {
+                              Shape::RefreshConflicts, Shape::Deep,
+                              Shape::DeepWrites}) {
         for (const auto kind :
              {SchedPolicyKind::FrFcfs, SchedPolicyKind::DemandFirst,
               SchedPolicyKind::PrefetchFirst, SchedPolicyKind::Aps}) {

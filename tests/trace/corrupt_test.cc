@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fnv.hh"
 #include "trace/format.hh"
 #include "trace/stream.hh"
 #include "v1_fixture.hh"
@@ -282,6 +283,60 @@ TEST_F(CorruptTest, EveryPrefixIsRejectedOrEmpty)
             << "prefix of " << keep << " bytes decoded";
         EXPECT_FALSE(error.empty()) << "prefix " << keep;
     }
+}
+
+/** PADCTRC2 damage that every reader must reject the same way. */
+class CorruptV2Test : public CorruptTest
+{
+  protected:
+    /**
+     * Expect the prober, the whole-file reader, the verifier and the
+     * streaming reader to reject the current file, each with a message
+     * containing @p needle.
+     */
+    void
+    expectAllRejected(const std::string &needle) const
+    {
+        TraceFileInfo info;
+        std::string error;
+        EXPECT_FALSE(probeTraceFile(path_, &info, &error));
+        EXPECT_NE(error.find(needle), std::string::npos)
+            << "probe error: " << error;
+
+        std::vector<core::TraceOp> ops;
+        error.clear();
+        EXPECT_FALSE(readTraceFileV2(path_, &ops, &error));
+        EXPECT_NE(error.find(needle), std::string::npos)
+            << "reader error: " << error;
+
+        error.clear();
+        EXPECT_FALSE(verifyTraceFile(path_, &info, &error));
+        EXPECT_NE(error.find(needle), std::string::npos)
+            << "verifier error: " << error;
+
+        StreamingFileTrace trace(path_);
+        EXPECT_FALSE(trace.ok());
+        EXPECT_NE(trace.error().find(needle), std::string::npos)
+            << "stream error: " << trace.error();
+    }
+};
+
+TEST_F(CorruptV2Test, WrappedIndexCountRejected)
+{
+    // Raise the index's block count by 2^60 and re-seal the index
+    // checksum: index_offset + 8 + count * 16 + 8 wraps to the true file
+    // size, so only a check that never multiplies the count rejects it
+    // (before it reaches a reserve() of 2^60 entries).
+    std::string bytes = bytes_;
+    const std::uint64_t index_offset = getU64(bytes, 24);
+    const std::uint64_t count = getU64(bytes, index_offset);
+    putU64At(&bytes, index_offset, count + (1ULL << 60));
+    const std::size_t sealed = bytes.size() - 8 - index_offset;
+    putU64At(&bytes, bytes.size() - 8,
+             fnv1a(bytes.data() + index_offset, sealed,
+                   kFnvTruncatedOffset));
+    rewrite(bytes);
+    expectAllRejected("promises");
 }
 
 // --- v1 ---------------------------------------------------------------

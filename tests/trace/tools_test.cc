@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fnv.hh"
 #include "exp/driver.hh"
 #include "trace/corpus.hh"
 #include "trace/format.hh"
@@ -174,6 +175,48 @@ TEST_F(ToolsTest, WrappedV1OpCountRejected)
     EXPECT_EQ(run({"trace", "convert", "--in", file, "--format", "trace",
                    "--out", dir_, "--name", "wrapped"}),
               1);
+}
+
+TEST_F(ToolsTest, WrappedV2IndexCountRejected)
+{
+    // A captured PADCTRC2 file whose index count is raised by 2^60 with
+    // the index checksum re-sealed: index_offset + 16 + 16 * count wraps
+    // to the true size. The tools must report the size mismatch, not
+    // the exception of a 2^60-entry reserve().
+    ASSERT_EQ(run({"trace", "capture", "--profile", "milc_06", "--out",
+                   dir_, "--ops", "500"}),
+              0);
+    const std::string file = dir_ + "/milc_06.c0.s1.trc";
+    std::string bytes;
+    {
+        std::ifstream in(file, std::ios::binary);
+        bytes.assign(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+    }
+    const auto getU64 = [&bytes](std::size_t at) {
+        std::uint64_t value = 0;
+        for (int i = 7; i >= 0; --i)
+            value = (value << 8) | static_cast<unsigned char>(bytes[at + i]);
+        return value;
+    };
+    const auto putU64 = [&bytes](std::size_t at, std::uint64_t value) {
+        for (int i = 0; i < 8; ++i)
+            bytes[at + i] = static_cast<char>((value >> (8 * i)) & 0xFF);
+    };
+    const std::uint64_t index_offset = getU64(24);
+    putU64(index_offset, getU64(index_offset) + (1ULL << 60));
+    putU64(bytes.size() - 8,
+           fnv1a(bytes.data() + index_offset,
+                 bytes.size() - 8 - index_offset, kFnvTruncatedOffset));
+    std::ofstream(file, std::ios::binary | std::ios::trunc) << bytes;
+
+    for (const char *command : {"info", "verify"}) {
+        ::testing::internal::CaptureStderr();
+        EXPECT_EQ(run({"trace", command, file}), 1) << command;
+        const std::string err = ::testing::internal::GetCapturedStderr();
+        EXPECT_NE(err.find("promises"), std::string::npos)
+            << command << ": " << err;
+    }
 }
 
 TEST_F(ToolsTest, InfoAndVerifyReportOnFiles)
